@@ -8,29 +8,18 @@
 #include <thread>
 #include <utility>
 
-#include "apps/empty_rect.hpp"
-#include "apps/largest_rect.hpp"
-#include "apps/polygon_neighbors.hpp"
-#include "apps/string_edit.hpp"
 #include "exec/parallel.hpp"
 #include "exec/thread_pool.hpp"
 #include "fault/fault.hpp"
-#include "geom/geometry.hpp"
 #include "index/index.hpp"
-#include "monge/staircase_seq.hpp"
 #include "obs/trace.hpp"
-#include "par/monge_rowminima.hpp"
-#include "par/staircase_rowminima.hpp"
-#include "par/tube_maxima.hpp"
+#include "serve/ops.hpp"
 
 namespace pmonge::serve {
 
 using Member = detail::BatchMember;
 
 namespace {
-
-using monge::kNoCol;
-using monge::RowOpt;
 
 void count_plan(ServiceMetrics& metrics, plan::Algo algo) {
   switch (algo) {
@@ -40,526 +29,49 @@ void count_plan(ServiceMetrics& metrics, plan::Algo algo) {
   }
 }
 
-/// Close out a parallel-path kernel: fold the machine's charged PRAM
-/// costs into the service totals and onto the kernel span, so exported
-/// traces show predicted cost next to measured wall time.
-void charge(ServiceMetrics& metrics, const pram::Machine& mach,
-            obs::Span& span) {
-  metrics.charged_time().add(mach.meter().time);
-  metrics.charged_work().add(mach.meter().work);
-  span.set_charged(mach.meter().time, mach.meter().work);
-}
-
-void set_error(BatchOutcome& out, std::string why) {
-  out.ok = false;
-  out.error = std::move(why);
-}
-
-void set_ok(BatchOutcome& out, Json result) {
-  out.ok = true;
-  out.result = std::move(result);
-}
-
-/// Mark every member that has no outcome yet with a group-level error.
-void fail_unanswered(std::vector<Member>& members, const std::string& why) {
-  for (Member& m : members) {
-    if (!m.out->ok && m.out->error.empty()) set_error(*m.out, why);
-  }
-}
-
-std::int64_t int_field_or(const Json& body, const std::string& key,
-                          std::int64_t def) {
-  const Json* p = body.find(key);
-  return p == nullptr ? def : p->as_int();
-}
-
-/// Group-key helper: any malformed field maps to -1 here; the handler
-/// re-validates and produces the per-member error.
-std::int64_t group_int(const Json& body, const std::string& key) {
-  const Json* p = body.find(key);
-  if (p == nullptr || p->type() != Json::Type::Int) return -1;
-  return p->as_int();
-}
-
-/// Non-negative index field, checked against an exclusive bound.
-std::size_t index_field(const Json& body, const std::string& key,
-                        std::size_t bound, const char* what) {
-  const std::int64_t v = body.at(key).as_int();
-  if (v < 0 || static_cast<std::size_t>(v) >= bound) {
-    throw JsonError(std::string("bad_request: ") + what + " out of range");
-  }
-  return static_cast<std::size_t>(v);
-}
-
-Json rowopt_result(const RowOpt<std::int64_t>& r) {
-  Json::Obj o;
-  if (r.col == kNoCol) {
-    o["col"] = -1;
-    o["value"] = nullptr;
-  } else {
-    o["col"] = static_cast<std::int64_t>(r.col);
-    o["value"] = r.value;
-  }
-  return Json(std::move(o));
-}
-
-/// Resolve a registered array or record a per-member error.
+/// The registered array an operand field names; nullptr (with `why` set
+/// to the per-request error) when the field is malformed or unknown.
 std::shared_ptr<const ArrayEntry> resolve(Registry& reg, const Json& body,
-                                          const std::string& key,
-                                          BatchOutcome& out) {
-  const Json* p = body.find(key);
-  if (p == nullptr || p->type() != Json::Type::Int) {
-    set_error(out, "bad_request: missing or non-integer field \"" + key +
-                       "\"");
+                                          const std::string& field,
+                                          std::string& why) {
+  const std::optional<std::int64_t> id = operand_id(body, field);
+  if (!id) {
+    why = "bad_request: missing or non-integer field \"" + field + "\"";
     return nullptr;
   }
-  const std::int64_t id = p->as_int();
   std::shared_ptr<const ArrayEntry> entry =
-      id < 0 ? nullptr : reg.get(static_cast<std::uint64_t>(id));
-  if (entry == nullptr) {
-    set_error(out, "unknown_array: " + std::to_string(id));
-  }
+      *id < 0 ? nullptr : reg.get(static_cast<std::uint64_t>(*id));
+  if (entry == nullptr) why = "unknown_array: " + std::to_string(*id);
   return entry;
 }
 
-// ---------------------------------------------------------------------------
-// Group handlers.  Each answers every member (outcome or error) and never
-// throws across the job boundary.
-// ---------------------------------------------------------------------------
-
-void run_row_group(std::vector<Member>& members,
-                   const std::shared_ptr<const ArrayEntry>& entry, bool maxima,
-                   pram::Model model, ServiceMetrics& metrics,
-                   const plan::Plan& pl) {
-  if (entry->kind == ArrayEntry::Kind::Staircase) {
-    fail_unanswered(members, "wrong_kind: array is staircase; use "
-                             "staircase_rowmin / staircase_rowmax");
-    return;
-  }
-  std::vector<std::size_t> rows;
-  std::vector<std::pair<std::size_t, Member*>> live;  // row -> member
-  for (Member& m : members) {
-    try {
-      const std::size_t row =
-          index_field(m.req->body, "row", entry->data.rows(), "row");
-      rows.push_back(row);
-      live.emplace_back(row, &m);
-    } catch (const JsonError& e) {
-      set_error(*m.out, e.what());
-    }
-  }
-  if (live.empty()) return;
-  std::sort(rows.begin(), rows.end());
-  rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
-
-  // Every variant below returns the *leftmost* optimum of each queried
-  // row, so the plan choice never shows in the response bytes.
-  obs::Span kspan("serve.kernel");
-  kspan.set_detail(plan::algo_name(pl.algo));
-  const bool inverse = entry->kind == ArrayEntry::Kind::InverseMonge;
-  const auto& a = entry->data;
-  std::vector<RowOpt<std::int64_t>> res;
-  if (pl.algo == plan::Algo::Brute) {
-    res.reserve(rows.size());
-    for (const std::size_t r : rows) {
-      RowOpt<std::int64_t> best{a(r, 0), 0};
-      for (std::size_t j = 1; j < a.cols(); ++j) {
-        const std::int64_t v = a(r, j);
-        if (maxima ? v > best.value : v < best.value) best = {v, j};
-      }
-      res.push_back(best);
-    }
-  } else if (pl.algo == plan::Algo::Sequential) {
-    std::vector<RowOpt<std::int64_t>> all;
-    if (!inverse && !maxima) {
-      all = monge::smawk_row_minima(a);
-    } else if (!inverse && maxima) {
-      all = monge::smawk_row_maxima_monge(a);
-    } else if (inverse && !maxima) {
-      all = monge::smawk_row_minima_inverse_monge(a);
-    } else {
-      all = monge::smawk_row_maxima_inverse_monge(a);
-    }
-    res.reserve(rows.size());
-    for (const std::size_t r : rows) res.push_back(all[r]);
+/// Widen `s` to cover one operand-free request: string lengths for an
+/// edit distance, point / vertex counts for a geometric app.
+void grow_extent(plan::QueryShape& s, const Json& b) {
+  const auto size_of = [&](const char* key, Json::Type t) -> std::size_t {
+    const Json* p = b.find(key);
+    if (p == nullptr || p->type() != t) return 0;
+    return t == Json::Type::String ? p->as_string().size() : p->arr().size();
+  };
+  if (s.op == plan::OpClass::EditDistance) {
+    s.rows = std::max(s.rows, size_of("x", Json::Type::String));
+    s.cols = std::max(s.cols, size_of("y", Json::Type::String));
   } else {
-    pram::Machine mach(model);
-    exec::GrainScope grain(pl.grain);
-    if (!inverse && !maxima) {
-      res = par::monge_row_minima_rows(mach, a, rows);
-    } else if (!inverse && maxima) {
-      res = par::monge_row_maxima_rows(mach, a, rows);
-    } else if (inverse && !maxima) {
-      res = par::inverse_monge_row_minima_rows(mach, a, rows);
-    } else {
-      res = par::inverse_monge_row_maxima_rows(mach, a, rows);
-    }
-    charge(metrics, mach, kspan);
+    s.rows = std::max(s.rows, size_of("points", Json::Type::Array) +
+                                  size_of("p", Json::Type::Array) +
+                                  size_of("q", Json::Type::Array));
   }
-  for (auto& [row, m] : live) {
-    const auto it = std::lower_bound(rows.begin(), rows.end(), row);
-    set_ok(*m->out, rowopt_result(res[static_cast<std::size_t>(
-                        it - rows.begin())]));
-  }
-}
-
-void run_staircase_group(std::vector<Member>& members,
-                         const std::shared_ptr<const ArrayEntry>& entry,
-                         bool maxima, pram::Model model,
-                         ServiceMetrics& metrics, const plan::Plan& pl) {
-  if (entry->kind != ArrayEntry::Kind::Staircase) {
-    fail_unanswered(members, "wrong_kind: array is not staircase");
-    return;
-  }
-  std::vector<std::size_t> rows;
-  std::vector<std::pair<std::size_t, Member*>> live;
-  for (Member& m : members) {
-    try {
-      const std::size_t row =
-          index_field(m.req->body, "row", entry->data.rows(), "row");
-      rows.push_back(row);
-      live.emplace_back(row, &m);
-    } catch (const JsonError& e) {
-      set_error(*m.out, e.what());
-    }
-  }
-  if (live.empty()) return;
-  std::sort(rows.begin(), rows.end());
-  rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
-
-  obs::Span kspan("serve.kernel");
-  kspan.set_detail(plan::algo_name(pl.algo));
-  monge::StaircaseArray<monge::DenseArray<std::int64_t>> s(entry->data,
-                                                           entry->frontier);
-  std::vector<RowOpt<std::int64_t>> res;
-  if (pl.algo == plan::Algo::Brute) {
-    // Leftmost optimum over each queried row's finite prefix.
-    res.reserve(rows.size());
-    for (const std::size_t r : rows) {
-      const std::size_t width = s.frontier(r);
-      RowOpt<std::int64_t> best{0, kNoCol};
-      for (std::size_t j = 0; j < width; ++j) {
-        const std::int64_t v = entry->data(r, j);
-        if (best.col == kNoCol || (maxima ? v > best.value : v < best.value)) {
-          best = {v, j};
-        }
-      }
-      res.push_back(best);
-    }
-  } else if (pl.algo == plan::Algo::Sequential) {
-    auto all = maxima ? monge::staircase_row_maxima_seq(s)
-                      : monge::staircase_row_minima_seq(s);
-    res.reserve(rows.size());
-    for (const std::size_t r : rows) res.push_back(all[r]);
-  } else {
-    pram::Machine mach(model);
-    exec::GrainScope grain(pl.grain);
-    res = maxima ? par::staircase_row_maxima_rows(mach, s, rows)
-                 : par::staircase_row_minima_rows(mach, s, rows);
-    charge(metrics, mach, kspan);
-  }
-  for (auto& [row, m] : live) {
-    const auto it = std::lower_bound(rows.begin(), rows.end(), row);
-    set_ok(*m->out, rowopt_result(res[static_cast<std::size_t>(
-                        it - rows.begin())]));
-  }
-}
-
-Json region_result(const index::RegionOpt& r) {
-  Json::Obj o;
-  if (!r.has) {
-    o["value"] = nullptr;
-    o["row"] = -1;
-    o["col"] = -1;
-  } else {
-    o["value"] = r.value;
-    o["row"] = static_cast<std::int64_t>(r.row);
-    o["col"] = static_cast<std::int64_t>(r.col);
-  }
-  return Json(std::move(o));
-}
-
-/// Submatrix min/max over a registered array.  With `idx` set, every
-/// member is answered through the query index; otherwise each runs the
-/// direct sub-block solver under the planned algorithm.  Both paths
-/// reduce candidates under the same total order (value, leftmost col,
-/// topmost row), so the route never shows in the response bytes.
-void run_submatrix_group(std::vector<Member>& members,
-                         const std::shared_ptr<const ArrayEntry>& entry,
-                         const std::shared_ptr<index::Index>& idx,
-                         bool maxima, const plan::Plan& pl) {
-  obs::Span kspan("serve.kernel");
-  kspan.set_detail(idx != nullptr ? "index" : plan::algo_name(pl.algo));
-  for (Member& m : members) {
-    try {
-      const Json& b = m.req->body;
-      const std::size_t r0 =
-          index_field(b, "r0", entry->data.rows(), "r0");
-      const std::size_t r1 =
-          index_field(b, "r1", entry->data.rows(), "r1");
-      const std::size_t c0 =
-          index_field(b, "c0", entry->data.cols(), "c0");
-      const std::size_t c1 =
-          index_field(b, "c1", entry->data.cols(), "c1");
-      if (r1 < r0) throw JsonError("bad_request: r1 < r0");
-      if (c1 < c0) throw JsonError("bad_request: c1 < c0");
-      const index::RegionOpt r =
-          idx != nullptr
-              ? idx->submatrix_opt(maxima, r0, r1, c0, c1)
-              : index::submatrix_direct(*entry, maxima, pl.algo, r0, r1,
-                                        c0, c1);
-      set_ok(*m.out, region_result(r));
-    } catch (const JsonError& e) {
-      set_error(*m.out, e.what());
-    }
-  }
-}
-
-void run_tube_group(std::vector<Member>& members,
-                    const std::shared_ptr<const ArrayEntry>& d,
-                    const std::shared_ptr<const ArrayEntry>& e, bool maxima,
-                    pram::Model model, ServiceMetrics& metrics,
-                    const plan::Plan& pl) {
-  if (d->kind != ArrayEntry::Kind::Monge ||
-      e->kind != ArrayEntry::Kind::Monge) {
-    fail_unanswered(members, "wrong_kind: tube operands must be monge");
-    return;
-  }
-  if (d->data.cols() != e->data.rows()) {
-    fail_unanswered(members, "bad_request: composite dimensions mismatch");
-    return;
-  }
-  std::vector<par::TubeQuery> qs;
-  std::vector<Member*> live;
-  for (Member& m : members) {
-    try {
-      par::TubeQuery q;
-      q.i = index_field(m.req->body, "i", d->data.rows(), "i");
-      q.k = index_field(m.req->body, "k", e->data.cols(), "k");
-      qs.push_back(q);
-      live.push_back(&m);
-    } catch (const JsonError& ex) {
-      set_error(*m.out, ex.what());
-    }
-  }
-  if (live.empty()) return;
-  obs::Span kspan("serve.kernel");
-  kspan.set_detail(plan::algo_name(pl.algo));
-  if (pl.algo != plan::Algo::Parallel) {
-    // Per-point scan over the middle index, smallest j on ties --
-    // exactly the tube_*_brute convention of monge/composite.hpp.
-    const std::size_t q = d->data.cols();
-    for (std::size_t t = 0; t < live.size(); ++t) {
-      const par::TubeQuery& tq = qs[t];
-      std::int64_t best = d->data(tq.i, 0) + e->data(0, tq.k);
-      std::size_t bestj = 0;
-      for (std::size_t j = 1; j < q; ++j) {
-        const std::int64_t v = d->data(tq.i, j) + e->data(j, tq.k);
-        if (maxima ? v > best : v < best) {
-          best = v;
-          bestj = j;
-        }
-      }
-      Json::Obj o;
-      o["value"] = best;
-      o["j"] = static_cast<std::int64_t>(bestj);
-      set_ok(*live[t]->out, Json(std::move(o)));
-    }
-    return;
-  }
-  pram::Machine mach(model);
-  exec::GrainScope grain(pl.grain);
-  auto res = maxima ? par::tube_maxima_points(mach, d->data, e->data, qs)
-                    : par::tube_minima_points(mach, d->data, e->data, qs);
-  charge(metrics, mach, kspan);
-  for (std::size_t t = 0; t < live.size(); ++t) {
-    Json::Obj o;
-    o["value"] = res[t].value;
-    o["j"] = static_cast<std::int64_t>(res[t].j);
-    set_ok(*live[t]->out, Json(std::move(o)));
-  }
-}
-
-void run_edit_group(std::vector<Member>& members, pram::Model model,
-                    ServiceMetrics& metrics, const plan::Plan& pl) {
-  std::vector<apps::EditJob> jobs;
-  std::vector<Member*> live;
-  for (Member& m : members) {
-    try {
-      apps::EditJob job;
-      job.x = m.req->body.at("x").as_string();
-      job.y = m.req->body.at("y").as_string();
-      job.costs.ins = int_field_or(m.req->body, "ins", 1);
-      job.costs.del = int_field_or(m.req->body, "del", 1);
-      job.costs.sub = int_field_or(m.req->body, "sub", 1);
-      jobs.push_back(std::move(job));
-      live.push_back(&m);
-    } catch (const JsonError& e) {
-      set_error(*m.out, e.what());
-    }
-  }
-  if (live.empty()) return;
-  obs::Span kspan("serve.kernel");
-  kspan.set_detail(plan::algo_name(pl.algo));
-  std::vector<std::int64_t> costs;
-  if (pl.algo != plan::Algo::Parallel) {
-    costs.reserve(jobs.size());
-    for (const apps::EditJob& job : jobs) {
-      costs.push_back(apps::edit_distance_seq(job.x, job.y, job.costs).cost);
-    }
-  } else {
-    pram::Machine mach(model);
-    costs = apps::edit_distance_par_batch(mach, jobs);
-    charge(metrics, mach, kspan);
-  }
-  for (std::size_t t = 0; t < live.size(); ++t) {
-    Json::Obj o;
-    o["cost"] = costs[t];
-    set_ok(*live[t]->out, Json(std::move(o)));
-  }
-}
-
-void run_largest_rect_group(std::vector<Member>& members, pram::Model model,
-                            ServiceMetrics& metrics) {
-  std::vector<std::vector<apps::IPoint>> instances;
-  std::vector<Member*> live;
-  for (Member& m : members) {
-    try {
-      std::vector<apps::IPoint> pts;
-      for (const Json& p : m.req->body.at("points").arr()) {
-        const auto& xy = p.arr();
-        if (xy.size() != 2) throw JsonError("bad_request: point is not [x,y]");
-        pts.push_back({xy[0].as_int(), xy[1].as_int()});
-      }
-      if (pts.size() < 2) {
-        throw JsonError("bad_request: need at least two points");
-      }
-      instances.push_back(std::move(pts));
-      live.push_back(&m);
-    } catch (const JsonError& e) {
-      set_error(*m.out, e.what());
-    }
-  }
-  if (live.empty()) return;
-  obs::Span kspan("serve.kernel");
-  kspan.set_detail("parallel");
-  pram::Machine mach(model);
-  const auto best = apps::largest_rect_par_batch(mach, instances);
-  charge(metrics, mach, kspan);
-  for (std::size_t t = 0; t < live.size(); ++t) {
-    Json::Obj o;
-    o["area"] = best[t].area;
-    o["a"] = Json(Json::Arr{Json(best[t].a.x), Json(best[t].a.y)});
-    o["b"] = Json(Json::Arr{Json(best[t].b.x), Json(best[t].b.y)});
-    set_ok(*live[t]->out, Json(std::move(o)));
-  }
-}
-
-void run_empty_rect_group(std::vector<Member>& members, pram::Model model,
-                          ServiceMetrics& metrics) {
-  obs::Span kspan("serve.kernel");
-  kspan.set_detail("parallel");
-  pram::Machine mach(model);
-  mach.parallel_branches(members.size(), [&](std::size_t t,
-                                             pram::Machine& sub) {
-    Member& m = members[t];
-    try {
-      const auto& b = m.req->body.at("bound").arr();
-      if (b.size() != 4) throw JsonError("bad_request: bound is not [x1,y1,x2,y2]");
-      apps::Rect bound{b[0].as_double(), b[1].as_double(), b[2].as_double(),
-                       b[3].as_double()};
-      std::vector<apps::DPoint> pts;
-      for (const Json& p : m.req->body.at("points").arr()) {
-        const auto& xy = p.arr();
-        if (xy.size() != 2) throw JsonError("bad_request: point is not [x,y]");
-        pts.push_back({xy[0].as_double(), xy[1].as_double()});
-      }
-      const apps::Rect r = apps::largest_empty_rect_par(sub, std::move(pts),
-                                                        bound);
-      Json::Obj o;
-      o["x1"] = r.x1;
-      o["y1"] = r.y1;
-      o["x2"] = r.x2;
-      o["y2"] = r.y2;
-      o["area"] = r.area();
-      set_ok(*m.out, Json(std::move(o)));
-    } catch (const JsonError& e) {
-      set_error(*m.out, e.what());
-    } catch (const fault::InjectedFault&) {
-      // Transient by contract: let it reach the group retry loop instead
-      // of freezing into a per-member "internal" error.
-      throw;
-    } catch (const std::exception& e) {
-      set_error(*m.out, std::string("internal: ") + e.what());
-    }
-  });
-  charge(metrics, mach, kspan);
-}
-
-apps::NeighborKind parse_neighbor_kind(const std::string& s) {
-  if (s == "nearest_visible") return apps::NeighborKind::NearestVisible;
-  if (s == "nearest_invisible") return apps::NeighborKind::NearestInvisible;
-  if (s == "farthest_visible") return apps::NeighborKind::FarthestVisible;
-  if (s == "farthest_invisible") return apps::NeighborKind::FarthestInvisible;
-  throw JsonError("bad_request: unknown neighbor kind \"" + s + "\"");
-}
-
-void run_polygon_group(std::vector<Member>& members, pram::Model model,
-                       ServiceMetrics& metrics) {
-  obs::Span kspan("serve.kernel");
-  kspan.set_detail("parallel");
-  pram::Machine mach(model);
-  mach.parallel_branches(members.size(), [&](std::size_t t,
-                                             pram::Machine& sub) {
-    Member& m = members[t];
-    try {
-      auto parse_poly = [&](const char* key) {
-        std::vector<geom::Point> v;
-        for (const Json& p : m.req->body.at(key).arr()) {
-          const auto& xy = p.arr();
-          if (xy.size() != 2) throw JsonError("bad_request: vertex is not [x,y]");
-          v.push_back({xy[0].as_double(), xy[1].as_double()});
-        }
-        return geom::ConvexPolygon(std::move(v));
-      };
-      const geom::ConvexPolygon P = parse_poly("p");
-      const geom::ConvexPolygon Q = parse_poly("q");
-      const auto kind = parse_neighbor_kind(m.req->body.at("kind").as_string());
-      const auto res = apps::neighbors_par(sub, P, Q, kind);
-      Json::Arr neighbor, distance;
-      for (std::size_t i = 0; i < res.neighbor.size(); ++i) {
-        if (res.neighbor[i] == apps::NeighborResult::npos) {
-          neighbor.emplace_back(-1);
-          distance.emplace_back(nullptr);
-        } else {
-          neighbor.emplace_back(static_cast<std::int64_t>(res.neighbor[i]));
-          distance.emplace_back(res.distance[i]);
-        }
-      }
-      Json::Obj o;
-      o["neighbor"] = Json(std::move(neighbor));
-      o["distance"] = Json(std::move(distance));
-      set_ok(*m.out, Json(std::move(o)));
-    } catch (const JsonError& e) {
-      set_error(*m.out, e.what());
-    } catch (const fault::InjectedFault&) {
-      throw;  // transient: belongs to the group retry loop
-    } catch (const std::exception& e) {
-      set_error(*m.out, std::string("internal: ") + e.what());
-    }
-  });
-  charge(metrics, mach, kspan);
 }
 
 /// Ids of the registered arrays `req` reads -- the cache-entry tags that
 /// unregister invalidates.
 std::vector<std::uint64_t> result_tags(const Request& req) {
   std::vector<std::uint64_t> tags;
-  for (const char* key : {"array", "d", "e"}) {
-    const Json* p = req.body.find(key);
-    if (p != nullptr && p->type() == Json::Type::Int && p->as_int() >= 0) {
-      tags.push_back(static_cast<std::uint64_t>(p->as_int()));
-    }
+  const QueryOp* op = find_query_op(req.op);
+  if (op == nullptr) return tags;
+  for (const std::string& field : operand_fields(op->operands)) {
+    const std::optional<std::int64_t> id = operand_id(req.body, field);
+    if (id && *id >= 0) tags.push_back(static_cast<std::uint64_t>(*id));
   }
   return tags;
 }
@@ -568,55 +80,29 @@ std::vector<std::uint64_t> result_tags(const Request& req) {
 
 plan::QueryShape query_shape(const Request& req, Registry& reg) {
   plan::QueryShape s;
-  const Json& b = req.body;
-  const auto entry_of =
-      [&](const char* key) -> std::shared_ptr<const ArrayEntry> {
-    const Json* p = b.find(key);
-    if (p == nullptr || p->type() != Json::Type::Int || p->as_int() < 0) {
-      return nullptr;
-    }
-    return reg.get(static_cast<std::uint64_t>(p->as_int()));
-  };
-  const auto points_of = [&](const char* key) -> std::size_t {
-    const Json* p = b.find(key);
-    return p != nullptr && p->type() == Json::Type::Array ? p->arr().size()
-                                                          : 0;
-  };
-  if (req.op == "rowmin" || req.op == "rowmax" ||
-      req.op == "staircase_rowmin" || req.op == "staircase_rowmax") {
-    s.op = plan::OpClass::RowSearch;
-    if (const auto e = entry_of("array")) {
-      s.rows = e->data.rows();
-      s.cols = e->data.cols();
-    }
-  } else if (req.op == "submatrix_min" || req.op == "submatrix_max") {
-    s.op = plan::OpClass::SubmatrixSearch;
-    if (const auto e = entry_of("array")) {
-      s.rows = e->data.rows();
-      s.cols = e->data.cols();
-    }
-  } else if (req.op == "tubemax" || req.op == "tubemin") {
-    s.op = plan::OpClass::TubeSearch;
-    if (const auto d = entry_of("d")) {
-      s.rows = d->data.rows();
-      s.cols = d->data.cols();
-    }
-  } else if (req.op == "string_edit") {
-    s.op = plan::OpClass::EditDistance;
-    const Json* x = b.find("x");
-    const Json* y = b.find("y");
-    if (x != nullptr && x->type() == Json::Type::String) {
-      s.rows = x->as_string().size();
-    }
-    if (y != nullptr && y->type() == Json::Type::String) {
-      s.cols = y->as_string().size();
-    }
-  } else {
-    s.op = plan::OpClass::GeometricApp;
-    s.rows = points_of("points") + points_of("p") + points_of("q");
+  const QueryOp* op = find_query_op(req.op);
+  if (op == nullptr) return s;
+  s.op = op->op_class;
+  const auto fields = operand_fields(op->operands);
+  if (fields.empty()) {
+    grow_extent(s, req.body);
+    return s;
   }
-  s.batch = 1;
+  const std::optional<std::int64_t> id = operand_id(req.body, fields[0]);
+  if (const auto e = id && *id >= 0 ? reg.get(static_cast<std::uint64_t>(*id))
+                                    : nullptr) {
+    s.rows = e->data.rows();
+    s.cols = e->data.cols();
+  }
   return s;
+}
+
+std::shared_ptr<index::Index> Batcher::index_route(
+    const Json& body, const plan::QueryShape& shape) const {
+  const std::optional<std::int64_t> id = operand_id(body, "array");
+  std::shared_ptr<index::Index> idx =
+      id && *id >= 0 ? indexes_.get(static_cast<std::uint64_t>(*id)) : nullptr;
+  return idx != nullptr && planner_.prefer_index(shape) ? idx : nullptr;
 }
 
 plan::Plan Batcher::plan_for(const plan::QueryShape& shape,
@@ -752,106 +238,44 @@ void Batcher::dispatch_group_once(std::vector<Member>& ms, bool degraded) {
   std::optional<exec::SerialScope> serial;
   if (degraded) serial.emplace();
   try {
-    if (op == "rowmin" || op == "rowmax") {
-      auto entry = resolve(registry_, ms.front().req->body, "array",
-                           *ms.front().out);
-      if (entry == nullptr) {
-        fail_unanswered(ms, ms.front().out->error);
-        return;
-      }
-      const plan::QueryShape shape{plan::OpClass::RowSearch,
-                                   entry->data.rows(), entry->data.cols(),
-                                   ms.size()};
-      const plan::Plan pl = plan_for(shape, degraded);
-      count_plan(metrics_, pl.algo);
-      run_row_group(ms, entry, op == "rowmax", model_, metrics_, pl);
-    } else if (op == "staircase_rowmin" || op == "staircase_rowmax") {
-      auto entry = resolve(registry_, ms.front().req->body, "array",
-                           *ms.front().out);
-      if (entry == nullptr) {
-        fail_unanswered(ms, ms.front().out->error);
-        return;
-      }
-      const plan::QueryShape shape{plan::OpClass::RowSearch,
-                                   entry->data.rows(), entry->data.cols(),
-                                   ms.size()};
-      const plan::Plan pl = plan_for(shape, degraded);
-      count_plan(metrics_, pl.algo);
-      run_staircase_group(ms, entry, op == "staircase_rowmax", model_,
-                          metrics_, pl);
-    } else if (op == "submatrix_min" || op == "submatrix_max") {
-      auto entry = resolve(registry_, ms.front().req->body, "array",
-                           *ms.front().out);
-      if (entry == nullptr) {
-        fail_unanswered(ms, ms.front().out->error);
-        return;
-      }
-      const plan::QueryShape shape{plan::OpClass::SubmatrixSearch,
-                                   entry->data.rows(), entry->data.cols(),
-                                   ms.size()};
-      const plan::Plan pl = plan_for(shape, degraded);
-      count_plan(metrics_, pl.algo);
-      // Route through the index only when one exists and the planner
-      // predicts the O(lg m) lookups beat the best direct plan.  The
-      // degraded path (breaker open) stays on the direct sequential
-      // solver -- same bytes either way, so the route is free to vary.
-      std::shared_ptr<index::Index> idx;
-      if (!degraded) {
-        idx = indexes_.get(
-            static_cast<std::uint64_t>(group_int(ms.front().req->body,
-                                                 "array")));
-        if (idx != nullptr && !planner_.prefer_index(shape)) idx = nullptr;
-      }
-      run_submatrix_group(ms, entry, idx, op == "submatrix_max", pl);
-    } else if (op == "tubemax" || op == "tubemin") {
-      auto d = resolve(registry_, ms.front().req->body, "d",
-                       *ms.front().out);
-      auto e = d == nullptr ? nullptr
-                            : resolve(registry_, ms.front().req->body,
-                                      "e", *ms.front().out);
-      if (d == nullptr || e == nullptr) {
-        fail_unanswered(ms, ms.front().out->error);
-        return;
-      }
-      const plan::QueryShape shape{plan::OpClass::TubeSearch,
-                                   d->data.rows(), d->data.cols(),
-                                   ms.size()};
-      const plan::Plan pl = plan_for(shape, degraded);
-      count_plan(metrics_, pl.algo);
-      run_tube_group(ms, d, e, op == "tubemax", model_, metrics_, pl);
-    } else if (op == "string_edit") {
-      plan::QueryShape shape;
-      shape.op = plan::OpClass::EditDistance;
-      shape.batch = ms.size();
-      for (const Member& m : ms) {
-        const plan::QueryShape one = query_shape(*m.req, registry_);
-        shape.rows = std::max(shape.rows, one.rows);
-        shape.cols = std::max(shape.cols, one.cols);
-      }
-      const plan::Plan pl = plan_for(shape, degraded);
-      count_plan(metrics_, pl.algo);
-      run_edit_group(ms, model_, metrics_, pl);
-    } else if (op == "largest_rect" || op == "empty_rect" ||
-               op == "polygon_neighbors") {
-      plan::QueryShape shape;
-      shape.op = plan::OpClass::GeometricApp;
-      shape.batch = ms.size();
-      for (const Member& m : ms) {
-        shape.rows =
-            std::max(shape.rows, query_shape(*m.req, registry_).rows);
-      }
-      const plan::Plan pl = plan_for(shape, degraded);
-      count_plan(metrics_, pl.algo);
-      if (op == "largest_rect") {
-        run_largest_rect_group(ms, model_, metrics_);
-      } else if (op == "empty_rect") {
-        run_empty_rect_group(ms, model_, metrics_);
-      } else {
-        run_polygon_group(ms, model_, metrics_);
-      }
-    } else {
+    const QueryOp* spec = find_query_op(op);
+    if (spec == nullptr) {
       fail_unanswered(ms, "unknown_op: " + op);
+      return;
     }
+    // Members share the group key, hence every operand field: the front
+    // member's fields resolve for the whole group.
+    const Json& body = ms.front().req->body;
+    Group g{ms, *spec, {}, nullptr, {}, model_, metrics_};
+    for (const std::string& field : operand_fields(spec->operands)) {
+      std::string why;
+      g.arrays.push_back(resolve(registry_, body, field, why));
+      if (g.arrays.back() == nullptr) {
+        fail_unanswered(ms, why);
+        return;
+      }
+    }
+    plan::QueryShape shape{spec->op_class, 0, 0, ms.size()};
+    if (g.arrays.empty()) {
+      for (const Member& m : ms) grow_extent(shape, m.req->body);
+    } else {
+      shape.rows = g.arrays[0]->data.rows();
+      shape.cols = g.arrays[0]->data.cols();
+    }
+    g.plan = plan_for(shape, degraded);
+    count_plan(metrics_, g.plan.algo);
+    // Route through the index only when one exists and the planner
+    // predicts the O(lg m) lookups beat the best direct plan.  The
+    // degraded path (breaker open) stays on the direct sequential
+    // solver -- same bytes either way, so the route is free to vary.
+    if (spec->indexable && !degraded) g.idx = index_route(body, shape);
+    for (const auto& entry : g.arrays) {
+      if (const char* why = kind_mismatch(spec->requires_kind, entry->kind)) {
+        fail_unanswered(ms, why);
+        return;
+      }
+    }
+    spec->run(g);
   } catch (const fault::InjectedFault&) {
     throw;  // transient by contract: dispatch_group's retry loop owns it
   } catch (const std::exception& e) {
@@ -872,7 +296,8 @@ void Batcher::run_explain(const Request& req, BatchOutcome& out) {
     set_error(out, e.what());
     return;
   }
-  if (!is_query_op(inner.op) || inner.op == "explain") {
+  const QueryOp* spec = find_query_op(inner.op);
+  if (spec == nullptr) {
     set_error(out,
               "bad_request: explain \"query\" must be a query op other than "
               "explain");
@@ -908,15 +333,11 @@ void Batcher::run_explain(const Request& req, BatchOutcome& out) {
   plan_o["predicted_us"] = pl.predicted_us;
   plan_o["profile"] = planner_.profile().id;
   plan_o["planner_enabled"] = planner_.enabled();
-  if (inner.op == "submatrix_min" || inner.op == "submatrix_max") {
+  if (spec->indexable) {
     // Whether the non-degraded dispatch would route through the query
     // index: one must exist for the operand AND the planner must predict
     // the lookup beats the best direct plan (docs/indexing.md).
-    const std::int64_t id = group_int(inner.body, "array");
-    const bool have_index =
-        id >= 0 &&
-        indexes_.get(static_cast<std::uint64_t>(id)) != nullptr;
-    plan_o["use_index"] = have_index && planner_.prefer_index(shape);
+    plan_o["use_index"] = index_route(inner.body, shape) != nullptr;
   }
   plan_o["shape"] = Json(std::move(shape_o));
   Json::Obj outcome_o;
@@ -977,13 +398,14 @@ std::vector<BatchOutcome> Batcher::run(
   for (const std::size_t i : misses) {
     const Request& r = reqs[i];
     std::string key = r.op;
-    if (r.op == "rowmin" || r.op == "rowmax" || r.op == "staircase_rowmin" ||
-        r.op == "staircase_rowmax" || r.op == "submatrix_min" ||
-        r.op == "submatrix_max") {
-      key += ":" + std::to_string(group_int(r.body, "array"));
-    } else if (r.op == "tubemax" || r.op == "tubemin") {
-      key += ":" + std::to_string(group_int(r.body, "d")) + ":" +
-             std::to_string(group_int(r.body, "e"));
+    if (const QueryOp* spec = find_query_op(r.op)) {
+      // A missing or non-integer operand keys as "?", apart from every
+      // integer id, so its members answer their own bad_request.
+      for (const std::string& field : operand_fields(spec->operands)) {
+        const std::optional<std::int64_t> id = operand_id(r.body, field);
+        key += ':';
+        key += id ? std::to_string(*id) : "?";
+      }
     }
     if (!coalesce_) key += "#" + std::to_string(i);
     groups[key].push_back(

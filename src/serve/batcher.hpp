@@ -16,6 +16,17 @@
 // All groups of a batch are then pushed into the exec engine as ONE
 // submission (exec::parallel_jobs).
 //
+// What an op name means is declared once, in the query-op table
+// (serve/ops.hpp): op class, operand fields ("array", or "d" and "e"),
+// min or max, the array kind the operands need, whether the query index
+// can answer it, and its group handler.  The group key is the op name
+// plus each operand field's integer id (or "?" when the field is missing
+// or not an integer, so a malformed field never shares a group with any
+// id).  One generic prologue then runs every group: resolve the
+// operands, build the shape, plan, count the plan, pick the index
+// route, check the operand kinds, and call the row's handler.  Adding a
+// query op takes one table row plus its handler.
+//
 // Planning: each group consults the execution planner (src/plan) for the
 // cheapest variant -- a brute scan of exactly the queried cells, the
 // sequential SMAWK-family solver, or the parallel kernel (with the
@@ -50,6 +61,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -58,6 +70,7 @@
 #include "pram/machine.hpp"
 
 namespace pmonge::index {
+class Index;
 class IndexManager;
 }
 #include "serve/admission.hpp"
@@ -138,6 +151,10 @@ class Batcher {
   void dispatch_group_once(std::vector<detail::BatchMember>& ms,
                            bool degraded);
   plan::Plan plan_for(const plan::QueryShape& shape, bool degraded) const;
+  /// The query index to answer an "array" query through, or nullptr when
+  /// none is built or the planner prefers the direct solver.
+  std::shared_ptr<index::Index> index_route(
+      const Json& body, const plan::QueryShape& shape) const;
   void run_explain(const Request& req, BatchOutcome& out);
   bool breaker_open() const;
   void note_failure();

@@ -404,7 +404,13 @@ bool RequestCodec::canonicalize_query(std::string_view line, FastQuery& out) {
       canon_ += "\":";
       if (!canon_value()) return false;
       if (key == "op") {
-        if (last_kind_ != Kind::Str || last_str_escaped_) return false;
+        // Only kernel-backed query ops can be cached hits: refuse the
+        // rest (control ops, explain) before canonicalizing what is left
+        // of a possibly huge line.
+        if (last_kind_ != Kind::Str || last_str_escaped_ ||
+            find_query_op(last_str_raw_) == nullptr) {
+          return false;
+        }
         opbuf_.assign(last_str_raw_);
         have_op = true;
       }

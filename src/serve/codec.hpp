@@ -20,6 +20,8 @@
 // parse tree's unescaped-key ordering), transport fields with their own
 // admission semantics (`deadline_ms`, `trace_id`), nesting deeper than
 // the guard -- it REFUSES, and the caller falls back to the slow path.
+// It also refuses every op that can never be a cached hit (control ops,
+// `explain`), as soon as the top-level "op" value is read.
 // Refusal is always correct; acceptance is what tests/test_codec.cpp
 // fuzzes against the slow path.
 #pragma once
@@ -46,8 +48,8 @@ struct FastQuery {
 class RequestCodec {
  public:
   /// One-pass canonicalization of a request line.  True: `out` is filled
-  /// and the line is a well-formed query request with no deadline_ms /
-  /// trace_id.  False: fall back to the slow path (which may still
+  /// and the line is a well-formed kernel-backed query request with no
+  /// deadline_ms / trace_id.  False: fall back to the slow path (which may still
   /// answer it fine -- refusal is conservative, see header comment).
   bool canonicalize_query(std::string_view line, FastQuery& out);
 

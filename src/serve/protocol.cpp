@@ -1,32 +1,8 @@
 #include "serve/protocol.hpp"
 
-#include <algorithm>
-
 #include "support/fmt.hpp"
 
 namespace pmonge::serve {
-
-const std::vector<std::string>& query_ops() {
-  static const std::vector<std::string> ops = {
-      "rowmin",      "rowmax",       "staircase_rowmin", "staircase_rowmax",
-      "tubemax",     "tubemin",      "string_edit",      "largest_rect",
-      "empty_rect",  "polygon_neighbors", "submatrix_min", "submatrix_max",
-      "explain",
-  };
-  return ops;
-}
-
-bool is_query_op(std::string_view op) {
-  const auto& ops = query_ops();
-  return std::find(ops.begin(), ops.end(), op) != ops.end();
-}
-
-bool is_control_op(std::string_view op) {
-  return op == "register_dense" || op == "register_staircase" ||
-         op == "register_random" || op == "unregister" || op == "stats" ||
-         op == "ping" || op == "trace" || op == "index_build" ||
-         op == "index_drop" || op == "index_stats";
-}
 
 Request parse_request(const std::string& line) {
   Request req;

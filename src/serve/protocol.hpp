@@ -52,12 +52,15 @@ struct Request {
   std::uint64_t trace_id = 0;
 };
 
-/// Query-plane op names (also the metrics vocabulary).
+/// Query-plane op names (also the metrics vocabulary): the rows of the
+/// op table in serve/ops.cpp, then "explain".
 const std::vector<std::string>& query_ops();
 bool is_query_op(std::string_view op);
 
-/// Control-plane op names.
-bool is_control_op(std::string_view op);
+/// The op-table row of a kernel-backed query op (serve/ops.hpp); nullptr
+/// for explain, control ops and unknown names.
+struct QueryOp;
+const QueryOp* find_query_op(std::string_view op);
 
 /// Parse one request line; throws JsonError on malformed input (bad
 /// JSON, missing or non-string op).  Computes the signature for query ops.

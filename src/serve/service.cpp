@@ -70,9 +70,9 @@ bool Service::try_serve_fast(std::string_view line, std::string& out) {
   }
   RequestCodec& codec = thread_codec();
   FastQuery q;
+  // The codec refuses everything but kernel-backed query ops; explain
+  // reports live plan/cost observations and is never cached.
   if (!codec.canonicalize_query(line, q)) return false;
-  // explain reports live plan/cost observations and is never cached.
-  if (q.op == "explain" || !is_query_op(q.op)) return false;
 
   const auto t0 = ServeClock::now();
   std::string& buf = codec.response_buffer();

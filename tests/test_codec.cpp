@@ -233,12 +233,10 @@ TEST(CodecDifferential, AcceptedLinesMatchSlowPathExactly) {
     ++accepted;
     ASSERT_TRUE(slow_ok) << "codec accepted a line the parser rejects: "
                          << line;
-    // parse_request computes the signature only for query ops (the
-    // service re-checks is_query_op after the codec and refuses control
-    // ops to the slow path), so compare signatures on that domain.
-    if (serve::is_query_op(r.op)) {
-      EXPECT_EQ(q.signature, r.signature) << "line: " << line;
-    }
+    // The codec accepts only kernel-backed query ops, the domain on
+    // which parse_request computes a signature.
+    ASSERT_NE(serve::find_query_op(r.op), nullptr) << "line: " << line;
+    EXPECT_EQ(q.signature, r.signature) << "line: " << line;
     EXPECT_EQ(q.op, r.op) << "line: " << line;
     EXPECT_EQ(q.id, r.id) << "line: " << line;
     EXPECT_EQ(q.hash, serve::cache_checksum(q.signature));
@@ -288,6 +286,21 @@ TEST(CodecDifferential, RefusesWhatItCannotPromise) {
   };
   for (const char* line : kLines) {
     EXPECT_FALSE(codec.canonicalize_query(line, q)) << line;
+  }
+  // Ops that are never cached hits: control ops, wherever "op" sits in
+  // the line, and explain.
+  std::string data;
+  for (int i = 0; i < 64 * 64; ++i) data += (i ? "," : "") + std::to_string(i);
+  const std::string fields =
+      R"("id":1,"rows":64,"cols":64,"data":[)" + data + "]";
+  const std::string control_lines[] = {
+      R"({"op":"register_dense",)" + fields + "}",
+      "{" + fields + R"(,"op":"register_dense"})",
+      R"({"op":"explain","id":2,"query":{"op":"rowmin","array":0,"row":1}})",
+  };
+  for (const std::string& line : control_lines) {
+    EXPECT_FALSE(codec.canonicalize_query(line, q)) << line.substr(0, 64);
+    EXPECT_NO_THROW(serve::parse_request(line));
   }
   // Nesting deeper than the guard.
   std::string deep = "{\"op\":\"rowmin\",\"v\":";

@@ -368,6 +368,14 @@ std::vector<std::string> run_workload(Service& svc) {
   queries.push_back(R"({"op":"string_edit","x":"abcdef","y":"azced"})");
   queries.push_back(
       R"({"op":"largest_rect","points":[[0,0],[9,9],[2,7],[6,3],[4,4]]})");
+  // A negative operand id and a missing one must land in different
+  // groups: each answers its own error whether or not they coalesce.
+  queries.push_back(R"({"op":"rowmin","id":1,"array":-1,"row":0})");
+  queries.push_back(R"({"op":"rowmin","id":2,"row":0})");
+  queries.push_back(R"({"op":"tubemax","id":3,"d":-1,"e":5,"i":0,"k":0})");
+  queries.push_back(R"({"op":"tubemax","id":4,"e":5,"i":0,"k":0})");
+  queries.push_back(R"({"op":"tubemin","id":5,"d":3,"e":-1,"i":0,"k":0})");
+  queries.push_back(R"({"op":"tubemin","id":6,"d":3,"i":0,"k":0})");
   svc.pause();  // accumulate so coalescing actually sees a batch
   std::vector<std::future<std::string>> futs;
   for (const auto& q : queries) futs.push_back(svc.submit(q));
