@@ -3,6 +3,8 @@
 //
 //   parse:     Json-DOM parse_request (the slow path) vs the streaming
 //              canonicalizer (serve/codec.hpp) -- ns/req and allocs/req;
+//   register:  parse_request vs RequestCodec::decode_register on a 256x256
+//              register_dense line -- us/MB and allocs/line;
 //   serialize: make_ok_response (DOM dump) vs append_ok_response_raw
 //              (splice into a reused buffer) -- ns/resp and allocs/resp;
 //   serve:     warm cached-hit through Service with the fast path off
@@ -10,13 +12,16 @@
 //
 // Allocation counts come from a global operator-new hook (thread-local
 // counter, main thread only).  The run exits nonzero if the warm fast
-// path allocates at all (the zero-steady-state-allocation gate CI runs)
-// or if the codec fails to beat the DOM parse on time.
+// path allocates at all (the zero-steady-state-allocation gate CI runs),
+// if the register decoder's allocations per line differ between a 16x16
+// and a 256x256 line, or if either codec fails to beat the DOM parse on
+// time.
 //
 //   --reqs N            requests per timed loop      (default 20000)
 //   --reps N            median-of-N repetitions      (default 5)
 //   --warmup N          throwaway runs per config    (default 1)
 //   --json[=PATH]       machine-readable records     (BENCH_codec.json)
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
@@ -26,10 +31,12 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "monge/generators.hpp"
 #include "serve/codec.hpp"
 #include "serve/protocol.hpp"
 #include "serve/service.hpp"
 #include "support/cli.hpp"
+#include "support/rng.hpp"
 #include "support/table.hpp"
 
 namespace {
@@ -70,6 +77,7 @@ namespace {
 
 using pmonge::serve::FastQuery;
 using pmonge::serve::Json;
+using pmonge::serve::RegisterLine;
 using pmonge::serve::RequestCodec;
 using pmonge::serve::Service;
 using pmonge::serve::ServiceOptions;
@@ -87,6 +95,23 @@ std::vector<std::string> request_lines() {
   lines.push_back(
       R"({ "row" : 3 , "array" : 0 , "op" : "rowmin" , "id" : 100 })");
   return lines;
+}
+
+/// A register_dense line for an n x n Monge array, fields in the order
+/// the service benchmark's client sends them.
+std::string register_line(std::size_t n) {
+  pmonge::Rng rng(42);
+  const auto a = pmonge::monge::random_monge(n, n, rng);
+  std::string line = "{\"id\":0,\"op\":\"register_dense\",\"rows\":" +
+                     std::to_string(n) + ",\"cols\":" + std::to_string(n) +
+                     ",\"data\":[";
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      if (i + j > 0) line += ',';
+      line += std::to_string(a(i, j));
+    }
+  }
+  return line + "]}";
 }
 
 struct Measured {
@@ -166,6 +191,57 @@ int main(int argc, char** argv) {
   }
 
   pmonge::bench::print_header(
+      "register parse: DOM parse_request vs decode_register, 256x256");
+  {
+    // Wall time per MB of line and heap allocations per line.  The
+    // decoder's allocations must not grow with the cell count (its one
+    // vector is reserved up front), so they are counted at 16x16 too.
+    const std::string line = register_line(256);
+    const std::size_t n = std::max<std::size_t>(4, reqs / 1000);
+    const double mb = static_cast<double>(line.size()) / 1e6;
+    const Measured before = measure(
+        [&] {
+          for (std::size_t i = 0; i < n; ++i) {
+            if (pmonge::serve::parse_request(line).op.empty()) std::abort();
+          }
+        },
+        n, warmup, reps);
+    RequestCodec codec;
+    const std::size_t max_cells = ServiceOptions{}.max_register_cells;
+    const auto decode = [&](const std::string& l, std::size_t times) {
+      for (std::size_t i = 0; i < times; ++i) {
+        RegisterLine reg;
+        if (!codec.decode_register(l, max_cells, reg)) std::abort();
+      }
+    };
+    const Measured after = measure([&] { decode(line, n); }, n, warmup, reps);
+    const std::string small = register_line(16);
+    const Measured after_small =
+        measure([&] { decode(small, n); }, n, warmup, 1);
+    const double before_us_mb = before.ns_per / 1e3 / mb;
+    const double after_us_mb = after.ns_per / 1e3 / mb;
+    table.add_row({"register_parse (us/MB)",
+                   pmonge::Table::fixed(before_us_mb, 0),
+                   pmonge::Table::fixed(after_us_mb, 0),
+                   pmonge::Table::fixed(before_us_mb / after_us_mb, 2) + "x",
+                   pmonge::Table::fixed(before.allocs_per, 0),
+                   pmonge::Table::fixed(after.allocs_per, 2)});
+    Json::Obj r;
+    r["path"] = "register_parse";
+    r["line_bytes"] = static_cast<std::int64_t>(line.size());
+    r["before_us_per_mb"] = before_us_mb;
+    r["after_us_per_mb"] = after_us_mb;
+    r["before_allocs_per_line"] = before.allocs_per;
+    r["after_allocs_per_line"] = after.allocs_per;
+    r["after_allocs_per_line_16x16"] = after_small.allocs_per;
+    records.add(std::move(r));
+    // Count gates first (they cannot flip on noise), then the time one.
+    if (after.allocs_per != after_small.allocs_per) gate_failed = true;
+    if (after.allocs_per >= before.allocs_per) gate_failed = true;
+    if (after.ns_per >= before.ns_per) gate_failed = true;
+  }
+
+  pmonge::bench::print_header(
       "response serialize: make_ok_response vs append_ok_response_raw");
   {
     const std::string cached = R"({"col":0,"value":1})";
@@ -233,8 +309,11 @@ int main(int argc, char** argv) {
   table.print(std::cout);
   records.write();
   std::cout << (gate_failed
-                    ? "GATE FAILED: codec slower than DOM path or warm fast "
-                      "path allocated\n"
-                    : "gates ok: codec faster, warm fast path allocation-free\n");
+                    ? "GATE FAILED: codec slower than DOM path, warm fast "
+                      "path allocated, or register decode allocations grew "
+                      "with the cell count\n"
+                    : "gates ok: codec and register decoder faster, warm fast "
+                      "path allocation-free, register decode allocations "
+                      "constant\n");
   return gate_failed ? 1 : 0;
 }

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <iostream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -15,6 +16,7 @@
 #include "obs/chrome_trace.hpp"
 #include "obs/trace.hpp"
 #include "serve/json.hpp"
+#include "support/build_info.hpp"
 #include "support/cli.hpp"
 #include "support/series.hpp"
 #include "support/table.hpp"
@@ -236,8 +238,19 @@ class JsonRecords {
   }
 
   /// Write the array (canonical bytes, one record per line) and say so.
+  /// The first record describes the host and build, so numbers from
+  /// different machines or commits are never compared blind.
   void write() {
     if (!enabled()) return;
+    serve::Json::Obj host;
+    host["cores"] = static_cast<std::int64_t>(std::thread::hardware_concurrency());
+    host["compiler"] = support::build_compiler();
+    host["build_type"] = support::build_type();
+    host["git"] = support::build_git_describe();
+    serve::Json::Obj first;
+    first["bench"] = serve::Json(bench_);
+    first["host"] = serve::Json(std::move(host));
+    records_.insert(records_.begin(), serve::Json(std::move(first)));
     std::ofstream out(path_);
     out << "[\n";
     for (std::size_t i = 0; i < records_.size(); ++i) {

@@ -98,7 +98,16 @@ void ThreadPool::run_batch(std::size_t nchunks,
     std::lock_guard<std::mutex> lk(queue_mu_);
     queue_.erase(std::remove(queue_.begin(), queue_.end(), b), queue_.end());
   }
-  if (b->err) std::rethrow_exception(b->err);
+  // Take the error out of the batch: the exception then dies on this
+  // thread, after the handler that reads it, instead of in a straggler
+  // worker's release of the batch -- an order only libsupc++'s refcount
+  // knows, which a thread sanitizer does not see.
+  std::exception_ptr err;
+  {
+    std::lock_guard<std::mutex> lk(b->mu);
+    err = std::move(b->err);
+  }
+  if (err) std::rethrow_exception(err);
 }
 
 void ThreadPool::work_on(Batch& b, LaneCounters& lane) {

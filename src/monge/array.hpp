@@ -61,6 +61,11 @@ class DenseArray {
   DenseArray() = default;
   DenseArray(std::size_t rows, std::size_t cols, T fill = T{})
       : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
+  /// Adopts `cells` (row-major, rows * cols of them) without copying.
+  DenseArray(std::size_t rows, std::size_t cols, std::vector<T>&& cells)
+      : rows_(rows), cols_(cols), data_(std::move(cells)) {
+    PMONGE_REQUIRE(data_.size() == rows * cols, "cells != rows * cols");
+  }
 
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }

@@ -9,17 +9,37 @@
 #pragma once
 
 #include <cstddef>
+#include <type_traits>
 
 #include "monge/array.hpp"
 
 namespace pmonge::monge {
+
+namespace detail {
+
+/// x + y in a type the sum cannot overflow: the entries are outside input
+/// (a registered array), and int64 extremes are legal entries.
+template <class T>
+auto wide_sum(T x, T y) {
+  if constexpr (std::is_integral_v<T>) {
+    static_assert(sizeof(T) <= 8);
+    return static_cast<__int128>(x) + static_cast<__int128>(y);
+  } else {
+    return x + y;
+  }
+}
+
+}  // namespace detail
 
 /// a[i][j] + a[i+1][j+1] <= a[i][j+1] + a[i+1][j] for all adjacent pairs.
 template <Array2D A>
 bool is_monge(const A& a) {
   for (std::size_t i = 0; i + 1 < a.rows(); ++i) {
     for (std::size_t j = 0; j + 1 < a.cols(); ++j) {
-      if (a(i, j) + a(i + 1, j + 1) > a(i, j + 1) + a(i + 1, j)) return false;
+      if (detail::wide_sum(a(i, j), a(i + 1, j + 1)) >
+          detail::wide_sum(a(i, j + 1), a(i + 1, j))) {
+        return false;
+      }
     }
   }
   return true;
@@ -30,7 +50,10 @@ template <Array2D A>
 bool is_inverse_monge(const A& a) {
   for (std::size_t i = 0; i + 1 < a.rows(); ++i) {
     for (std::size_t j = 0; j + 1 < a.cols(); ++j) {
-      if (a(i, j) + a(i + 1, j + 1) < a(i, j + 1) + a(i + 1, j)) return false;
+      if (detail::wide_sum(a(i, j), a(i + 1, j + 1)) <
+          detail::wide_sum(a(i, j + 1), a(i + 1, j))) {
+        return false;
+      }
     }
   }
   return true;
@@ -68,7 +91,10 @@ bool is_staircase_monge(const A& a) {
   for (std::size_t i = 0; i + 1 < a.rows(); ++i) {
     for (std::size_t j = 0; j + 1 < a.cols(); ++j) {
       if (is_infinite<T>(a(i + 1, j + 1))) continue;  // corner finite => all
-      if (a(i, j) + a(i + 1, j + 1) > a(i, j + 1) + a(i + 1, j)) return false;
+      if (detail::wide_sum(a(i, j), a(i + 1, j + 1)) >
+          detail::wide_sum(a(i, j + 1), a(i + 1, j))) {
+        return false;
+      }
     }
   }
   return true;
@@ -89,7 +115,10 @@ bool is_staircase_inverse_monge(const A& a) {
   for (std::size_t i = 0; i + 1 < a.rows(); ++i) {
     for (std::size_t j = 0; j + 1 < a.cols(); ++j) {
       if (is_infinite<T>(a(i + 1, j + 1))) continue;
-      if (a(i, j) + a(i + 1, j + 1) < a(i, j + 1) + a(i + 1, j)) return false;
+      if (detail::wide_sum(a(i, j), a(i + 1, j + 1)) <
+          detail::wide_sum(a(i, j + 1), a(i + 1, j))) {
+        return false;
+      }
     }
   }
   return true;

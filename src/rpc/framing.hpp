@@ -45,39 +45,48 @@ class LineFramer {
       data += skip;
       n -= skip;
     }
+    // Lines next() handed out leave the buffer here, all at once: what
+    // stays is the tail of the last feed, so each byte moves at most once.
+    buf_.erase(0, head_);
+    scan_ -= head_;
+    head_ = 0;
     buf_.append(data, n);
   }
 
   /// Extract the next complete line, if any.
   Result next(std::string& out) {
-    const std::size_t nl = buf_.find('\n');
+    // Resume the newline search where the last one stopped: a line that
+    // arrives in many reads is scanned once, not once per read.
+    const std::size_t nl = buf_.find('\n', scan_);
     if (nl == std::string::npos) {
-      if (buf_.size() > max_) {
+      scan_ = buf_.size();
+      if (buffered() > max_) {
         // The line is already too long and its end has not arrived;
         // report it now and drop everything buffered (feed() keeps
         // dropping until the newline shows up).
         buf_.clear();
+        head_ = scan_ = 0;
         discarding_ = true;
         return Result::Oversized;
       }
       return Result::NeedMore;
     }
-    std::size_t len = nl;
-    if (len > 0 && buf_[len - 1] == '\r') --len;  // CRLF tolerance
-    if (nl > max_) {
-      buf_.erase(0, nl + 1);
-      return Result::Oversized;
-    }
-    out.assign(buf_, 0, len);
-    buf_.erase(0, nl + 1);
+    const std::size_t start = head_;
+    head_ = scan_ = nl + 1;
+    if (nl - start > max_) return Result::Oversized;
+    std::size_t len = nl - start;
+    if (len > 0 && buf_[nl - 1] == '\r') --len;  // CRLF tolerance
+    out.assign(buf_, start, len);
     return Result::Line;
   }
 
   /// Bytes buffered awaiting a newline.
-  std::size_t buffered() const { return buf_.size(); }
+  std::size_t buffered() const { return buf_.size() - head_; }
 
  private:
   std::string buf_;
+  std::size_t head_ = 0;  // start of the first line not yet handed out
+  std::size_t scan_ = 0;  // no newline in [head_, scan_)
   std::size_t max_;
   bool discarding_ = false;
 };

@@ -1,7 +1,8 @@
 #include "serve/codec.hpp"
 
-#include <cctype>
+#include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 
@@ -27,6 +28,95 @@ void RequestCodec::skip_ws() {
           s_[pos_] == '\r')) {
     ++pos_;
   }
+}
+
+// A string with no escapes and no control bytes: its source bytes are
+// its value.  Anything else refuses.
+bool RequestCodec::read_plain_string(std::string_view& out) {
+  skip_ws();
+  if (pos_ >= s_.size() || s_[pos_] != '"') return false;
+  const std::size_t start = ++pos_;
+  while (pos_ < s_.size() && s_[pos_] != '"') {
+    const unsigned char c = static_cast<unsigned char>(s_[pos_]);
+    if (c == '\\' || c < 0x20) return false;
+    ++pos_;
+  }
+  if (pos_ >= s_.size()) return false;
+  out = s_.substr(start, pos_ - start);
+  ++pos_;  // closing quote
+  return true;
+}
+
+// An object key and its ':'.  An escaped or control-bearing key refuses:
+// escaped-form byte order is not unescaped-key order, so sorting would
+// diverge, and a register field name must match byte for byte.
+bool RequestCodec::scan_key(std::string_view& key) {
+  if (!read_plain_string(key)) return false;
+  skip_ws();
+  if (pos_ >= s_.size() || s_[pos_] != ':') return false;
+  ++pos_;
+  return true;
+}
+
+// An integer exactly where Parser::parse_number makes one: -?digits, not
+// continued by a fraction or an exponent, within int64 (a wider token
+// parses as a double there, which as_int() refuses).
+bool RequestCodec::read_int(std::int64_t& out) {
+  skip_ws();
+  const char* first = s_.data() + pos_;
+  const auto [end, ec] = std::from_chars(first, s_.data() + s_.size(), out);
+  if (ec != std::errc()) return false;
+  pos_ += static_cast<std::size_t>(end - first);
+  return pos_ == s_.size() ||
+         (s_[pos_] != '.' && s_[pos_] != 'e' && s_[pos_] != 'E');
+}
+
+// A flat array of integers, appended to `out`.  Reserved once up front: a
+// flat integer array has one more element than commas before its ']'
+// (any other array refuses below, so a miscount costs nothing).  More
+// than `max_len` elements refuses.
+bool RequestCodec::read_ints(std::vector<std::int64_t>& out,
+                             std::size_t max_len) {
+  skip_ws();
+  if (pos_ >= s_.size() || s_[pos_] != '[') return false;
+  ++pos_;
+  const std::string_view rest = s_.substr(pos_);
+  const std::size_t close = rest.find(']');
+  if (close == std::string_view::npos) return false;
+  const auto len = static_cast<std::size_t>(
+      std::count(rest.begin(), rest.begin() + close, ',')) + 1;
+  if (len > max_len) return false;
+  out.reserve(len);
+  skip_ws();
+  if (pos_ < s_.size() && s_[pos_] == ']') {
+    ++pos_;
+    return true;
+  }
+  while (true) {
+    std::int64_t v;
+    if (!read_int(v)) return false;
+    out.push_back(v);
+    skip_ws();
+    if (pos_ >= s_.size()) return false;
+    const char c = s_[pos_++];
+    if (c == ']') return true;
+    if (c != ',') return false;
+  }
+}
+
+bool RequestCodec::read_bool(bool& out) {
+  skip_ws();
+  if (s_.substr(pos_, 4) == "true") {
+    pos_ += 4;
+    out = true;
+    return true;
+  }
+  if (s_.substr(pos_, 5) == "false") {
+    pos_ += 5;
+    out = false;
+    return true;
+  }
+  return false;
 }
 
 // Unescape + re-escape a string value exactly as parse-then-dump would:
@@ -204,22 +294,8 @@ bool RequestCodec::canon_object() {
   }
   bool sorted = true;
   while (true) {
-    skip_ws();
-    if (pos_ >= s_.size() || s_[pos_] != '"') return false;
-    const std::size_t key_src = ++pos_;
-    while (pos_ < s_.size() && s_[pos_] != '"') {
-      const unsigned char c = static_cast<unsigned char>(s_[pos_]);
-      // An escaped or control-bearing key refuses: escaped-form byte
-      // order is not unescaped-key order, so sorting would diverge.
-      if (c == '\\' || c < 0x20) return false;
-      ++pos_;
-    }
-    if (pos_ >= s_.size()) return false;
-    const std::string_view key = s_.substr(key_src, pos_ - key_src);
-    ++pos_;  // closing quote
-    skip_ws();
-    if (pos_ >= s_.size() || s_[pos_] != ':') return false;
-    ++pos_;
+    std::string_view key;
+    if (!scan_key(key)) return false;
     if (members_.size() > base) canon_.push_back(',');
     const std::size_t pair_off = canon_.size();
     canon_.push_back('"');
@@ -329,35 +405,13 @@ bool RequestCodec::canon_value() {
   return ok;
 }
 
-// The "id" transport field: must be a plain int64 (anything else makes
-// the slow path's as_int() throw, so refuse and let it).  Not emitted --
-// the signature strips it.
-bool RequestCodec::parse_id_value() {
-  skip_ws();
-  const std::size_t start = pos_;
-  if (pos_ < s_.size() && s_[pos_] == '-') ++pos_;
-  const std::size_t digits = pos_;
-  while (pos_ < s_.size() && is_dig(s_[pos_])) ++pos_;
-  if (pos_ == digits) return false;
-  if (pos_ < s_.size() &&
-      (s_[pos_] == '.' || s_[pos_] == 'e' || s_[pos_] == 'E')) {
-    return false;
-  }
-  strbuf_.assign(s_.data() + start, pos_ - start);
-  errno = 0;
-  char* end = nullptr;
-  const long long v = std::strtoll(strbuf_.c_str(), &end, 10);
-  if (errno != 0 || end == nullptr || *end != '\0') return false;
-  id_value_ = static_cast<std::int64_t>(v);
-  return true;
-}
-
 bool RequestCodec::canonicalize_query(std::string_view line, FastQuery& out) {
   s_ = line;
   pos_ = 0;
   depth_ = 0;
   canon_.clear();
   members_.clear();
+  op_seen_ = {};
   bool have_op = false;
   bool have_id = false;
   id_value_ = kNoId;
@@ -373,20 +427,8 @@ bool RequestCodec::canonicalize_query(std::string_view line, FastQuery& out) {
   // op extraction.
   bool sorted = true;
   while (true) {
-    skip_ws();
-    if (pos_ >= s_.size() || s_[pos_] != '"') return false;
-    const std::size_t key_src = ++pos_;
-    while (pos_ < s_.size() && s_[pos_] != '"') {
-      const unsigned char c = static_cast<unsigned char>(s_[pos_]);
-      if (c == '\\' || c < 0x20) return false;
-      ++pos_;
-    }
-    if (pos_ >= s_.size()) return false;
-    const std::string_view key = s_.substr(key_src, pos_ - key_src);
-    ++pos_;
-    skip_ws();
-    if (pos_ >= s_.size() || s_[pos_] != ':') return false;
-    ++pos_;
+    std::string_view key;
+    if (!scan_key(key)) return false;
 
     // deadline_ms / trace_id carry admission semantics of their own
     // (deadline checks, span minting) -- those requests take the slow
@@ -394,7 +436,9 @@ bool RequestCodec::canonicalize_query(std::string_view line, FastQuery& out) {
     if (key == "deadline_ms" || key == "trace_id") return false;
 
     if (key == "id") {
-      if (!parse_id_value()) return false;
+      // Not emitted: the signature strips it.  Anything but a plain
+      // int64 makes the slow path's as_int() throw, so it refuses.
+      if (!read_int(id_value_)) return false;
       have_id = true;  // duplicates: last parse wins, like operator[]
     } else {
       if (!members_.empty()) canon_.push_back(',');
@@ -407,11 +451,10 @@ bool RequestCodec::canonicalize_query(std::string_view line, FastQuery& out) {
         // Only kernel-backed query ops can be cached hits: refuse the
         // rest (control ops, explain) before canonicalizing what is left
         // of a possibly huge line.
-        if (last_kind_ != Kind::Str || last_str_escaped_ ||
-            find_query_op(last_str_raw_) == nullptr) {
-          return false;
-        }
-        opbuf_.assign(last_str_raw_);
+        if (last_kind_ != Kind::Str || last_str_escaped_) return false;
+        op_seen_ = last_str_raw_;
+        if (find_query_op(op_seen_) == nullptr) return false;
+        opbuf_.assign(op_seen_);
         have_op = true;
       }
       Member m;
@@ -448,6 +491,66 @@ bool RequestCodec::canonicalize_query(std::string_view line, FastQuery& out) {
   out.id = have_id ? id_value_ : kNoId;
   out.hash = cache_checksum(out.signature);
   return true;
+}
+
+bool RequestCodec::decode_register(std::string_view line,
+                                   std::size_t max_cells, RegisterLine& out) {
+  s_ = line;
+  pos_ = 0;
+  out = RegisterLine{};
+  constexpr unsigned kOp = 1, kId = 2, kRows = 4, kCols = 8, kData = 16,
+                     kFrontier = 32, kKind = 64, kValidate = 128;
+  unsigned seen = 0;
+  skip_ws();
+  if (pos_ >= s_.size() || s_[pos_] != '{') return false;
+  ++pos_;
+  while (true) {
+    std::string_view key;
+    if (!scan_key(key)) return false;
+    const unsigned field = key == "op"         ? kOp
+                           : key == "id"       ? kId
+                           : key == "rows"     ? kRows
+                           : key == "cols"     ? kCols
+                           : key == "data"     ? kData
+                           : key == "frontier" ? kFrontier
+                           : key == "kind"     ? kKind
+                           : key == "validate" ? kValidate
+                                               : 0;
+    // Unknown (deadline_ms and trace_id included) or repeated: refuse.
+    if (field == 0 || (seen & field) != 0) return false;
+    seen |= field;
+    bool ok = false;
+    switch (field) {
+      case kOp: {
+        // Read first in most lines, so a query line refuses here.
+        std::string_view op;
+        ok = read_plain_string(op) &&
+             (op == "register_dense" || op == "register_staircase");
+        out.staircase = op == "register_staircase";
+        break;
+      }
+      case kId: ok = read_int(out.id); break;
+      case kRows: ok = read_int(out.rows); break;
+      case kCols: ok = read_int(out.cols); break;
+      case kData: ok = read_ints(out.data, max_cells); break;
+      case kFrontier: ok = read_ints(out.frontier, max_cells); break;
+      case kKind: ok = read_plain_string(out.kind); break;
+      case kValidate: ok = read_bool(out.validate); break;
+    }
+    if (!ok) return false;
+    skip_ws();
+    if (pos_ >= s_.size()) return false;
+    const char c = s_[pos_++];
+    if (c == '}') break;
+    if (c != ',') return false;
+  }
+  skip_ws();
+  if (pos_ != s_.size()) return false;  // trailing bytes: parse error
+  // Every field the op needs, and none it ignores.
+  const unsigned need =
+      kOp | kRows | kCols | kData | (out.staircase ? kFrontier : 0);
+  const unsigned allowed = need | kId | kValidate | (out.staircase ? 0 : kKind);
+  return (seen & need) == need && (seen & ~allowed) == 0;
 }
 
 RequestCodec& thread_codec() {

@@ -326,6 +326,10 @@ int main(int argc, char** argv) {
   std::vector<std::string> spare;  // pooled response buffers (under mu)
   bool done = false;
 
+  // Unsynced, std::cin reads stdin in blocks rather than a character at
+  // a time.  Nothing in the process reads stdin through C stdio, and
+  // responses go out through C stdio only, so the two never interleave.
+  std::ios::sync_with_stdio(false);
   std::thread reader([&] {
     std::string line;
     while (std::getline(std::cin, line)) {

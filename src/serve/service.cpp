@@ -60,6 +60,12 @@ void Service::pause() { queue_->pause(true); }
 void Service::resume() { queue_->pause(false); }
 
 bool Service::try_serve_fast(std::string_view line, std::string& out) {
+  std::string_view op_seen;
+  return serve_cached(line, out, op_seen);
+}
+
+bool Service::serve_cached(std::string_view line, std::string& out,
+                           std::string_view& op_seen) {
   // Preconditions for skipping the slow path entirely: the cache must be
   // on, no implicit deadline can apply (deadline admission precedes the
   // cache), and neither tracing nor fault injection may be armed (both
@@ -72,7 +78,9 @@ bool Service::try_serve_fast(std::string_view line, std::string& out) {
   FastQuery q;
   // The codec refuses everything but kernel-backed query ops; explain
   // reports live plan/cost observations and is never cached.
-  if (!codec.canonicalize_query(line, q)) return false;
+  const bool canonical = codec.canonicalize_query(line, q);
+  op_seen = codec.op_seen();
+  if (!canonical) return false;
 
   const auto t0 = ServeClock::now();
   std::string& buf = codec.response_buffer();
@@ -106,18 +114,42 @@ bool Service::try_serve_fast(std::string_view line, std::string& out) {
 }
 
 void Service::submit_cb(std::string line, ResponseCallback done) {
+  std::string_view op_seen;  // the top-level op the fast path read, if any
   {
     // Cached-hit fast path: answered inline on the submitting thread,
     // exactly like control ops and admission rejections already are.
     thread_local std::string fastbuf;
     fastbuf.clear();
-    if (try_serve_fast(line, fastbuf)) {
+    if (serve_cached(line, fastbuf, op_seen)) {
       done(fastbuf);
       return;
     }
   }
 
   obs::Span span("serve.admit");
+
+  // Control ops answer here, on the submitting thread, each timed under
+  // its own endpoint.
+  const auto answer_control = [&](std::string_view op, auto&& handle) {
+    span.set_detail(op);
+    EndpointMetrics& em = metrics_.endpoint(op);
+    em.requests.add();
+    const auto t0 = ServeClock::now();
+    std::string resp = handle();
+    em.latency_us.record(us_between(t0, ServeClock::now()));
+    done(std::move(resp));
+  };
+
+  // Register lines go from bytes to cells in one pass, no DOM.  A line
+  // whose op the fast path already read as another op skips the attempt.
+  if (op_seen.empty() || op_seen.starts_with("register_")) {
+    RegisterLine reg;
+    if (thread_codec().decode_register(line, opts_.max_register_cells, reg)) {
+      answer_control(reg.staircase ? "register_staircase" : "register_dense",
+                     [&] { return handle_register(reg); });
+      return;
+    }
+  }
 
   Request req;
   try {
@@ -132,18 +164,13 @@ void Service::submit_cb(std::string line, ResponseCallback done) {
     return;
   }
 
-  span.set_detail(req.op);
   span.set_trace(req.trace_id);
 
   if (!is_query_op(req.op)) {
-    EndpointMetrics& em = metrics_.endpoint(req.op);
-    em.requests.add();
-    const auto t0 = ServeClock::now();
-    std::string resp = handle_control(req);
-    em.latency_us.record(us_between(t0, ServeClock::now()));
-    done(std::move(resp));
+    answer_control(req.op, [&] { return handle_control(req); });
     return;
   }
+  span.set_detail(req.op);
 
   // Query ops: mint a trace id when tracing is on and the client did not
   // supply one.  The id rides the Request (envelope field), never the
@@ -346,30 +373,153 @@ void Service::worker_loop() {
 
 namespace {
 
-std::size_t size_field(const Json& body, const char* key) {
-  const std::int64_t v = body.at(key).as_int();
-  if (v <= 0) throw JsonError(std::string("bad_request: ") + key +
-                              " must be positive");
+std::size_t positive(std::int64_t v, const char* key) {
+  if (v <= 0) {
+    throw JsonError(std::string("bad_request: ") + key + " must be positive");
+  }
   return static_cast<std::size_t>(v);
 }
 
-monge::DenseArray<std::int64_t> dense_from_body(const Json& body,
-                                                std::size_t rows,
-                                                std::size_t cols) {
-  const auto& data = body.at("data").arr();
-  if (data.size() != rows * cols) {
+// rows * cols > max_cells, without forming the product (it can wrap).
+bool too_large(std::size_t rows, std::size_t cols, std::size_t max_cells) {
+  return rows > max_cells / cols;
+}
+
+/// A register line's fields, read off its parse tree.  Each accessor
+/// throws the error its field's absence or type raises (missing field,
+/// expected integer, ...) only when the checks reach that field, so the
+/// checks' order stays the wire's error order.
+struct DomFields {
+  const Json& body;
+
+  std::int64_t rows() const { return body.at("rows").as_int(); }
+  std::int64_t cols() const { return body.at("cols").as_int(); }
+  std::size_t data_size() const { return body.at("data").arr().size(); }
+  std::vector<std::int64_t> take_data() const {
+    const Json::Arr& data = body.at("data").arr();
+    std::vector<std::int64_t> cells;
+    cells.reserve(data.size());
+    for (const Json& c : data) cells.push_back(c.as_int());
+    return cells;
+  }
+  std::size_t frontier_size() const {
+    return body.at("frontier").arr().size();
+  }
+  std::int64_t frontier(std::size_t i) const {
+    return body.at("frontier").arr()[i].as_int();
+  }
+  std::string_view kind() const {
+    const Json* k = body.find("kind");
+    return k != nullptr ? std::string_view(k->as_string()) : "monge";
+  }
+  bool validate() const {
+    const Json* v = body.find("validate");
+    return v != nullptr && v->as_bool();
+  }
+};
+
+/// The same fields from RequestCodec::decode_register, which accepts a
+/// line only when every field the op reads is present and well-typed.
+struct DecodedFields {
+  RegisterLine& line;
+
+  std::int64_t rows() const { return line.rows; }
+  std::int64_t cols() const { return line.cols; }
+  std::size_t data_size() const { return line.data.size(); }
+  std::vector<std::int64_t> take_data() const { return std::move(line.data); }
+  std::size_t frontier_size() const { return line.frontier.size(); }
+  std::int64_t frontier(std::size_t i) const { return line.frontier[i]; }
+  std::string_view kind() const { return line.kind; }
+  bool validate() const { return line.validate; }
+};
+
+/// Every register_dense / register_staircase check, in the order the
+/// wire pins (tests/golden/register.txt); the first failure throws.
+template <class Fields>
+ArrayEntry register_entry(Fields f, bool staircase, std::size_t max_cells) {
+  const std::size_t rows = positive(f.rows(), "rows");
+  const std::size_t cols = positive(f.cols(), "cols");
+  if (too_large(rows, cols, max_cells)) {
+    throw JsonError("bad_request: array too large");
+  }
+  if (f.data_size() != rows * cols) {
     throw JsonError("bad_request: data length != rows * cols");
   }
-  monge::DenseArray<std::int64_t> a(rows, cols);
-  for (std::size_t i = 0; i < rows; ++i) {
-    for (std::size_t j = 0; j < cols; ++j) {
-      a.at(i, j) = data[i * cols + j].as_int();
+  ArrayEntry entry;
+  entry.data = monge::DenseArray<std::int64_t>(rows, cols, f.take_data());
+  if (staircase) {
+    entry.kind = ArrayEntry::Kind::Staircase;
+    if (f.frontier_size() != rows) {
+      throw JsonError("bad_request: frontier length != rows");
+    }
+    entry.frontier.reserve(rows);
+    for (std::size_t i = 0; i < rows; ++i) {
+      const std::int64_t e = f.frontier(i);
+      if (e < 0 || static_cast<std::size_t>(e) > cols) {
+        throw JsonError("bad_request: frontier entry out of range");
+      }
+      entry.frontier.push_back(static_cast<std::size_t>(e));
+      if (i > 0 && entry.frontier[i] > entry.frontier[i - 1]) {
+        throw JsonError("bad_request: frontier must be non-increasing");
+      }
+    }
+  } else {
+    const std::string_view kind = f.kind();
+    if (kind == "monge") {
+      entry.kind = ArrayEntry::Kind::Monge;
+    } else if (kind == "inverse_monge") {
+      entry.kind = ArrayEntry::Kind::InverseMonge;
+    } else {
+      throw JsonError("bad_request: unknown kind \"" + std::string(kind) +
+                      "\"");
     }
   }
-  return a;
+  if (f.validate()) {
+    bool good = true;
+    switch (entry.kind) {
+      case ArrayEntry::Kind::Monge:
+        good = monge::is_monge(entry.data);
+        break;
+      case ArrayEntry::Kind::InverseMonge:
+        good = monge::is_inverse_monge(entry.data);
+        break;
+      case ArrayEntry::Kind::Staircase: {
+        monge::StaircaseArray<monge::DenseArray<std::int64_t>> s(
+            entry.data, entry.frontier);
+        good = monge::is_staircase_monge(s);
+        break;
+      }
+    }
+    if (!good) throw JsonError(std::string("not_") + entry.kind_name());
+  }
+  return entry;
+}
+
+/// A control op's failure: a JsonError carries its own category,
+/// anything else is internal.
+std::string control_error(std::int64_t id, const std::exception& e) {
+  if (dynamic_cast<const JsonError*>(&e) != nullptr) {
+    return make_error_response(id, e.what());
+  }
+  return make_error_response(id, std::string("internal: ") + e.what());
 }
 
 }  // namespace
+
+std::string Service::handle_register(RegisterLine& reg) {
+  try {
+    return add_array(reg.id, register_entry(DecodedFields{reg}, reg.staircase,
+                                            opts_.max_register_cells));
+  } catch (const std::exception& e) {
+    return control_error(reg.id, e);
+  }
+}
+
+std::string Service::add_array(std::int64_t id, ArrayEntry entry) {
+  Json::Obj o;
+  o["array"] = registry_.add(std::move(entry));
+  return make_ok_response(id, Json(std::move(o)));
+}
 
 std::string Service::handle_control(const Request& req) {
   try {
@@ -482,72 +632,16 @@ std::string Service::handle_control(const Request& req) {
     }
 
     if (req.op == "register_dense" || req.op == "register_staircase") {
-      const std::size_t rows = size_field(req.body, "rows");
-      const std::size_t cols = size_field(req.body, "cols");
-      if (rows * cols > opts_.max_register_cells) {
-        return make_error_response(req.id, "bad_request: array too large");
-      }
-      ArrayEntry entry;
-      entry.data = dense_from_body(req.body, rows, cols);
-      if (req.op == "register_staircase") {
-        entry.kind = ArrayEntry::Kind::Staircase;
-        const auto& fr = req.body.at("frontier").arr();
-        if (fr.size() != rows) {
-          throw JsonError("bad_request: frontier length != rows");
-        }
-        for (std::size_t i = 0; i < rows; ++i) {
-          const std::int64_t f = fr[i].as_int();
-          if (f < 0 || static_cast<std::size_t>(f) > cols) {
-            throw JsonError("bad_request: frontier entry out of range");
-          }
-          entry.frontier.push_back(static_cast<std::size_t>(f));
-          if (i > 0 && entry.frontier[i] > entry.frontier[i - 1]) {
-            throw JsonError("bad_request: frontier must be non-increasing");
-          }
-        }
-      } else {
-        const std::string kind =
-            req.body.find("kind") ? req.body.at("kind").as_string() : "monge";
-        if (kind == "monge") {
-          entry.kind = ArrayEntry::Kind::Monge;
-        } else if (kind == "inverse_monge") {
-          entry.kind = ArrayEntry::Kind::InverseMonge;
-        } else {
-          throw JsonError("bad_request: unknown kind \"" + kind + "\"");
-        }
-      }
-      const Json* validate = req.body.find("validate");
-      if (validate != nullptr && validate->as_bool()) {
-        bool good = true;
-        switch (entry.kind) {
-          case ArrayEntry::Kind::Monge:
-            good = monge::is_monge(entry.data);
-            break;
-          case ArrayEntry::Kind::InverseMonge:
-            good = monge::is_inverse_monge(entry.data);
-            break;
-          case ArrayEntry::Kind::Staircase: {
-            monge::StaircaseArray<monge::DenseArray<std::int64_t>> s(
-                entry.data, entry.frontier);
-            good = monge::is_staircase_monge(s);
-            break;
-          }
-        }
-        if (!good) {
-          return make_error_response(
-              req.id, std::string("not_") + entry.kind_name());
-        }
-      }
-      Json::Obj o;
-      o["array"] = registry_.add(std::move(entry));
-      return make_ok_response(req.id, Json(std::move(o)));
+      return add_array(req.id, register_entry(DomFields{req.body},
+                                              req.op == "register_staircase",
+                                              opts_.max_register_cells));
     }
 
     if (req.op == "register_random") {
-      const std::size_t rows = size_field(req.body, "rows");
-      const std::size_t cols = size_field(req.body, "cols");
-      if (rows * cols > opts_.max_register_cells) {
-        return make_error_response(req.id, "bad_request: array too large");
+      const std::size_t rows = positive(req.body.at("rows").as_int(), "rows");
+      const std::size_t cols = positive(req.body.at("cols").as_int(), "cols");
+      if (too_large(rows, cols, opts_.max_register_cells)) {
+        throw JsonError("bad_request: array too large");
       }
       const auto seed = static_cast<std::uint64_t>(
           req.body.find("seed") ? req.body.at("seed").as_int() : 0);
@@ -569,16 +663,12 @@ std::string Service::handle_control(const Request& req) {
       } else {
         throw JsonError("bad_request: unknown kind \"" + kind + "\"");
       }
-      Json::Obj o;
-      o["array"] = registry_.add(std::move(entry));
-      return make_ok_response(req.id, Json(std::move(o)));
+      return add_array(req.id, std::move(entry));
     }
 
     return make_error_response(req.id, "unknown_op: " + req.op);
-  } catch (const JsonError& e) {
-    return make_error_response(req.id, e.what());
   } catch (const std::exception& e) {
-    return make_error_response(req.id, std::string("internal: ") + e.what());
+    return control_error(req.id, e);
   }
 }
 

@@ -6,7 +6,9 @@
 //
 // Plumbing (docs/serving.md has the full picture):
 //
-//   submit(line) --parse--> control op?  handled synchronously
+//   submit(line) --parse--> control op?  handled synchronously (register
+//                            lines decode straight to cells, no DOM:
+//                            serve/codec.hpp)
 //                       \-> query op --> AdmissionQueue (bounded; full =>
 //                            immediate `overloaded` rejection)
 //   worker thread:  pop_batch(batch_max) --> expired deadlines answered
@@ -44,6 +46,7 @@
 #include "serve/admission.hpp"
 #include "serve/batcher.hpp"
 #include "serve/cache.hpp"
+#include "serve/codec.hpp"
 #include "serve/metrics.hpp"
 #include "serve/protocol.hpp"
 #include "serve/registry.hpp"
@@ -130,7 +133,11 @@ class Service {
     ResponseCallback done;
   };
 
+  bool serve_cached(std::string_view line, std::string& out,
+                    std::string_view& op_seen);
   std::string handle_control(const Request& req);
+  std::string handle_register(RegisterLine& reg);
+  std::string add_array(std::int64_t id, ArrayEntry entry);
   Json stats_json() const;
   void worker_loop();
 

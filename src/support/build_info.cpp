@@ -6,6 +6,9 @@
 #ifndef PMONGE_COMPILER
 #define PMONGE_COMPILER "unknown"
 #endif
+#ifndef PMONGE_BUILD_TYPE
+#define PMONGE_BUILD_TYPE "unknown"
+#endif
 
 namespace pmonge::support {
 
@@ -16,6 +19,11 @@ const std::string& build_git_describe() {
 
 const std::string& build_compiler() {
   static const std::string v = PMONGE_COMPILER;
+  return v;
+}
+
+const std::string& build_type() {
+  static const std::string v = PMONGE_BUILD_TYPE;
   return v;
 }
 

@@ -3,10 +3,13 @@
 //
 //   1. Differential fuzz: for every line the streaming canonicalizer
 //      ACCEPTS, its signature / op / id must be byte-identical to what
-//      the slow path (parse_request) computes.  Refusal is always legal;
-//      acceptance is the claim under test.  A coverage check keeps the
-//      fuzz honest (the codec must actually accept the forms the fast
-//      path exists for -- whitespace, shuffled keys, escapes).
+//      the slow path (parse_request) computes; for every line the
+//      register decoder accepts, its fields must equal the DOM's, and a
+//      Service answering it must give the bytes (and store the cells) a
+//      Service answering it through the DOM gives.  Refusal is always
+//      legal; acceptance is the claim under test.  Coverage checks keep
+//      the fuzz honest (the codecs must actually accept the forms they
+//      exist for -- whitespace, shuffled keys, escapes, int64 extremes).
 //   2. Fast/slow response identity: two Services differing only in
 //      `fast_path` answer an identical request stream -- including
 //      cache-hitting repeats, errors and unregister invalidation --
@@ -60,16 +63,29 @@ void* operator new(std::size_t n, std::align_val_t al) {
 void* operator new[](std::size_t n, std::align_val_t al) {
   return ::operator new(n, al);
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+// Not inlined: GCC 12 would inline them into gtest's `new TestClass` and
+// flag free() on an operator-new pointer (-Wmismatched-new-delete), which
+// is a false alarm here, where operator new is malloc.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
   std::free(p);
 }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p, std::align_val_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::align_val_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p, std::size_t,
+                                           std::align_val_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t,
+                                           std::align_val_t) noexcept {
   std::free(p);
 }
 
@@ -77,6 +93,7 @@ namespace pmonge {
 namespace {
 
 using serve::FastQuery;
+using serve::RegisterLine;
 using serve::Request;
 using serve::RequestCodec;
 using serve::Service;
@@ -94,8 +111,8 @@ class LineGen {
   explicit LineGen(std::uint64_t seed) : rng_(seed) {}
 
   std::string next() {
-    if (pct(10)) return mutate(object_line());
-    return object_line();
+    const std::string line = pct(25) ? register_line() : object_line();
+    return pct(10) ? mutate(line) : line;
   }
 
  private:
@@ -191,6 +208,90 @@ class LineGen {
     return line;
   }
 
+  /// An integer cell in one of the token forms the DOM reads as int64,
+  /// or now and then one it reads as something else.
+  std::string cell() {
+    static const char* kForms[] = {
+        "-0", "01", "9223372036854775807", "-9223372036854775808",
+        "9223372036854775808", "2.5", "1e2", "\"7\"", "[1]", "null"};
+    if (pct(95)) {
+      return std::to_string(static_cast<std::int64_t>(rng_() % 2001) - 1000);
+    }
+    return kForms[rng_() % 10];
+  }
+
+  /// A register_dense / register_staircase line: well-formed data and
+  /// frontier arrays (Monge-shaped half the time, so validate can pass),
+  /// shuffled keys and whitespace, with the fields and forms the decoder
+  /// must refuse mixed in at low rates.
+  std::string register_line() {
+    const bool stair = pct(50);
+    const std::size_t rows = 1 + rng_() % 4, cols = 1 + rng_() % 4;
+    std::vector<std::string> pairs;
+    pairs.push_back("\"op\":" + ws() +
+                    (stair ? "\"register_staircase\"" : "\"register_dense\""));
+    if (pct(70)) {
+      pairs.push_back("\"id\":" + ws() +
+                      std::to_string(static_cast<std::int64_t>(rng_() % 2000) -
+                                     1000));
+    }
+    if (pct(97)) {
+      pairs.push_back("\"rows\":" + ws() +
+                      (pct(3) ? cell() : std::to_string(rows)));
+    }
+    if (pct(97)) pairs.push_back("\"cols\":" + ws() + std::to_string(cols));
+    const bool monge = pct(50);
+    const std::size_t cells = rows * cols + (pct(3) ? 1 : 0);
+    std::string data = "[";
+    for (std::size_t k = 0; k < cells; ++k) {
+      const auto i = static_cast<std::int64_t>(k / cols);
+      const auto j = static_cast<std::int64_t>(k % cols);
+      if (k) data += ",";
+      data += ws();
+      data += monge ? std::to_string(3 * (i - j) * (i - j) + 7 * i - j)
+                    : cell();
+      data += ws();
+    }
+    data += "]";
+    if (pct(97)) pairs.push_back("\"data\":" + ws() + data);
+    if (stair ? pct(97) : pct(3)) {
+      std::string fr = "[";
+      std::size_t f = cols;
+      for (std::size_t i = 0; i < rows + (pct(3) ? 1 : 0); ++i) {
+        if (i) fr += ",";
+        if (pct(3)) {
+          fr += cell();
+        } else {
+          fr += std::to_string(f);
+          if (f > 0 && pct(50)) --f;
+        }
+      }
+      pairs.push_back("\"frontier\":" + ws() + fr + "]");
+    }
+    if (stair ? pct(3) : pct(40)) {
+      static const char* kKinds[] = {"\"monge\"", "\"inverse_monge\"",
+                                     "\"weird\"", "5", "\"mon\\u0067e\""};
+      pairs.push_back(std::string("\"kind\":") + kKinds[rng_() % 5]);
+    }
+    if (pct(40)) {
+      static const char* kBools[] = {"true", "false", "1", "\"true\""};
+      pairs.push_back(std::string("\"validate\":") +
+                      kBools[pct(90) ? rng_() % 2 : 2 + rng_() % 2]);
+    }
+    if (pct(3)) pairs.push_back("\"deadline_ms\":100");
+    if (pct(3)) pairs.push_back("\"trace_id\":7");
+    if (pct(3)) pairs.push_back("\"seed\":1");
+    if (pct(3)) pairs.push_back("\"rows\":" + std::to_string(rows));
+    if (pct(3)) pairs.push_back("\"c\\u006fls\":" + std::to_string(cols));
+    std::shuffle(pairs.begin(), pairs.end(), rng_);
+    std::string line = "{";
+    for (std::size_t i = 0; i < pairs.size(); ++i) {
+      if (i) line += ",";
+      line += ws() + pairs[i] + ws();
+    }
+    return line + "}";
+  }
+
   std::string mutate(std::string line) {
     if (line.empty()) return line;
     switch (rng_() % 4) {
@@ -213,14 +314,43 @@ class LineGen {
   std::mt19937_64 rng_;
 };
 
+std::vector<std::int64_t> dom_ints(const serve::Json& arr) {
+  std::vector<std::int64_t> out;
+  for (const serve::Json& v : arr.arr()) out.push_back(v.as_int());
+  return out;
+}
+
+/// The register fields the DOM path reads from `r`, against the decoder's.
+void expect_same_register(const Request& r, const RegisterLine& reg,
+                          const std::string& line) {
+  const serve::Json& b = r.body;
+  EXPECT_EQ(r.op, reg.staircase ? "register_staircase" : "register_dense")
+      << line;
+  EXPECT_EQ(reg.id, r.id) << line;
+  EXPECT_EQ(reg.rows, b.at("rows").as_int()) << line;
+  EXPECT_EQ(reg.cols, b.at("cols").as_int()) << line;
+  EXPECT_EQ(reg.data, dom_ints(b.at("data"))) << line;
+  if (reg.staircase) {
+    EXPECT_EQ(reg.frontier, dom_ints(b.at("frontier"))) << line;
+  } else {
+    EXPECT_TRUE(reg.frontier.empty()) << line;
+    const serve::Json* kind = b.find("kind");
+    EXPECT_EQ(reg.kind, kind != nullptr ? kind->as_string() : "monge") << line;
+  }
+  const serve::Json* validate = b.find("validate");
+  EXPECT_EQ(reg.validate, validate != nullptr && validate->as_bool()) << line;
+}
+
 TEST(CodecDifferential, AcceptedLinesMatchSlowPathExactly) {
   LineGen gen(20260809);
   RequestCodec codec;
-  std::size_t accepted = 0, slow_ok_count = 0;
+  // Register lines the decoder accepts go to `streamed`; the same line
+  // with one member the DOM ignores (and the decoder refuses) goes to
+  // `dom`.  Both see the same accepted registers, so array ids agree.
+  Service streamed, dom;
+  std::size_t accepted = 0, slow_ok_count = 0, registers = 0, registered = 0;
   for (int iter = 0; iter < 60000; ++iter) {
     const std::string line = gen.next();
-    FastQuery q;
-    const bool fast_ok = codec.canonicalize_query(line, q);
     Request r;
     bool slow_ok = true;
     try {
@@ -229,21 +359,54 @@ TEST(CodecDifferential, AcceptedLinesMatchSlowPathExactly) {
       slow_ok = false;
     }
     if (slow_ok) ++slow_ok_count;
-    if (!fast_ok) continue;  // refusal is always legal
-    ++accepted;
-    ASSERT_TRUE(slow_ok) << "codec accepted a line the parser rejects: "
+
+    FastQuery q;
+    if (codec.canonicalize_query(line, q)) {  // refusal is always legal
+      ++accepted;
+      ASSERT_TRUE(slow_ok) << "codec accepted a line the parser rejects: "
+                           << line;
+      // The codec accepts only kernel-backed query ops, the domain on
+      // which parse_request computes a signature.
+      ASSERT_NE(serve::find_query_op(r.op), nullptr) << "line: " << line;
+      EXPECT_EQ(q.signature, r.signature) << "line: " << line;
+      EXPECT_EQ(q.op, r.op) << "line: " << line;
+      EXPECT_EQ(q.id, r.id) << "line: " << line;
+      EXPECT_EQ(q.hash, serve::cache_checksum(q.signature));
+    }
+
+    RegisterLine reg;
+    if (!codec.decode_register(line, streamed.options().max_register_cells,
+                               reg)) {
+      continue;
+    }
+    ++registers;
+    ASSERT_TRUE(slow_ok) << "decoder accepted a line the parser rejects: "
                          << line;
-    // The codec accepts only kernel-backed query ops, the domain on
-    // which parse_request computes a signature.
-    ASSERT_NE(serve::find_query_op(r.op), nullptr) << "line: " << line;
-    EXPECT_EQ(q.signature, r.signature) << "line: " << line;
-    EXPECT_EQ(q.op, r.op) << "line: " << line;
-    EXPECT_EQ(q.id, r.id) << "line: " << line;
-    EXPECT_EQ(q.hash, serve::cache_checksum(q.signature));
+    expect_same_register(r, reg, line);
+    std::string padded = line;
+    padded.insert(padded.rfind('}'), ",\"dom_only\":0");
+    RegisterLine refused;
+    ASSERT_FALSE(codec.decode_register(
+        padded, streamed.options().max_register_cells, refused));
+    const std::string resp = streamed.request(line);
+    ASSERT_EQ(resp, dom.request(padded)) << "line: " << line;
+    if (resp.find("\"ok\":true") == std::string::npos) continue;
+    // Pin the stored cells too: the same row search on both.
+    ++registered;
+    const std::string array =
+        resp.substr(resp.find("\"array\":") + 8,
+                    resp.find('}') - resp.find("\"array\":") - 8);
+    const std::string query =
+        std::string("{\"op\":\"") +
+        (reg.staircase ? "staircase_rowmin" : "rowmin") +
+        "\",\"array\":" + array + ",\"row\":0}";
+    ASSERT_EQ(streamed.request(query), dom.request(query)) << query;
   }
   // The fuzz is vacuous if the codec refuses everything interesting.
   EXPECT_GT(accepted, 5000u);
   EXPECT_GT(slow_ok_count, accepted);
+  EXPECT_GT(registers, 5000u);
+  EXPECT_GT(registered, 4000u);
 }
 
 TEST(CodecDifferential, AcceptsTheFormsTheFastPathExistsFor) {
@@ -266,6 +429,24 @@ TEST(CodecDifferential, AcceptsTheFormsTheFastPathExistsFor) {
     const Request r = serve::parse_request(line);
     EXPECT_EQ(q.signature, r.signature) << line;
     EXPECT_EQ(q.id, r.id) << line;
+  }
+  // Register lines: any key order, whitespace, every int64 token form,
+  // and lines the register checks will reject (they run after decoding).
+  const char* kRegisters[] = {
+      R"({"id":1,"rows":2,"cols":3,"data":[1,2,4,0,1,3],"op":"register_dense"})",
+      R"({"data":[5,1,7,4,0,6],"cols":3,"op":"register_dense","rows":2})",
+      " { \"op\" : \"register_dense\" ,\t\"rows\" : 1 , \"cols\" : 2 , "
+      "\"data\" : [ 3 ,\n1 ] , \"validate\" : true } ",
+      R"({"op":"register_dense","rows":01,"cols":3,"data":[-0,9223372036854775807,-9223372036854775808]})",
+      R"({"op":"register_dense","rows":1,"cols":2,"data":[1,2],"kind":"weird","validate":false})",
+      R"({"op":"register_staircase","id":-9223372036854775808,"rows":2,"cols":2,"data":[1,2,3,4],"frontier":[2,1]})",
+      R"({"op":"register_staircase","rows":0,"cols":2,"data":[],"frontier":[]})",
+      R"({"op":"register_dense","rows":4294967296,"cols":4294967296,"data":[]})",
+  };
+  for (const char* line : kRegisters) {
+    RegisterLine reg;
+    ASSERT_TRUE(codec.decode_register(line, 1 << 24, reg)) << line;
+    expect_same_register(serve::parse_request(line), reg, line);
   }
 }
 
@@ -302,6 +483,51 @@ TEST(CodecDifferential, RefusesWhatItCannotPromise) {
     EXPECT_FALSE(codec.canonicalize_query(line, q)) << line.substr(0, 64);
     EXPECT_NO_THROW(serve::parse_request(line));
   }
+  // Register lines the decoder cannot vouch for: the DOM path answers
+  // them, with bytes pinned by tests/golden/register.txt.
+  const std::string register_refusals[] = {
+      R"({"op":"register_dense","rows":1,"cols":1,"data":[9223372036854775808]})",
+      R"({"op":"register_dense","rows":1,"cols":1,"data":[-9223372036854775809]})",
+      R"({"op":"register_dense","rows":1,"cols":2,"data":[1,2.5]})",
+      R"({"op":"register_dense","rows":1,"cols":2,"data":[1,1e2]})",
+      R"({"op":"register_dense","rows":1,"cols":2,"data":[1,"2"]})",
+      R"({"op":"register_dense","rows":1,"cols":2,"data":[[1],2]})",
+      R"({"op":"register_dense","rows":1e0,"cols":1,"data":[1]})",
+      R"({"op":"register_dense","rows":1,"cols":2,"d\u0061ta":[1,2]})",
+      R"({"op":"register\u005fdense","rows":1,"cols":2,"data":[1,2]})",
+      R"({"op":"register_dense","rows":1,"rows":1,"cols":2,"data":[1,2]})",
+      R"({"op":"register_dense","rows":1,"cols":2,"data":[1,2],"seed":1})",
+      R"({"op":"register_dense","rows":1,"cols":2,"data":[1,2],"deadline_ms":5})",
+      R"({"op":"register_dense","rows":1,"cols":2,"data":[1,2],"trace_id":5})",
+      R"({"op":"register_dense","rows":1,"cols":2,"data":[1,2],"validate":1})",
+      R"({"op":"register_dense","rows":1,"cols":2,"data":[1,2],"kind":5})",
+      R"({"op":"register_dense","rows":1,"cols":2,"data":[1,2],"kind":"mon\u0067e"})",
+      R"({"op":"register_dense","rows":1,"cols":2,"data":[1,2],"frontier":[2]})",
+      R"({"op":"register_staircase","rows":1,"cols":2,"data":[1,2],"frontier":[2],"kind":"monge"})",
+      R"({"op":"register_dense","cols":2,"data":[1,2]})",
+      R"({"op":"register_staircase","rows":1,"cols":2,"data":[1,2]})",
+      R"({"op":"register_dense","id":"1","rows":1,"cols":2,"data":[1,2]})",
+      R"({"op":"register_random","rows":1,"cols":2})",
+      R"({"op":"rowmin","rows":1,"cols":2,"data":[3,4],"op":"register_dense"})",
+      R"({"op":"register_dense","rows":1,"cols":2,"data":[1,)",
+      R"({"op":"register_dense","rows":1,"cols":2,"data":[1,2]} trailing)",
+      R"({"op":"register_dense","rows":1,"cols":2,"data":[- 1,2]})",
+      R"({"op":"register_dense","rows":1,"cols":2,"data":[1,2,]})",
+      R"({"op":"register_dense","rows":1,"cols":2,"data":[+1,2]})",
+      R"({"op":"register_dense","rows":1,"cols":2,"data":[1 2]})",
+  };
+  for (const std::string& line : register_refusals) {
+    RegisterLine reg;
+    EXPECT_FALSE(codec.decode_register(line, 1 << 24, reg)) << line;
+  }
+  // More cells than the register guard allows.
+  RegisterLine reg;
+  EXPECT_FALSE(codec.decode_register(
+      R"({"op":"register_dense","rows":1,"cols":5,"data":[1,2,3,4,5]})", 4,
+      reg));
+  // Not a register op.
+  EXPECT_FALSE(codec.decode_register(control_lines[2], 1 << 24, reg));
+
   // Nesting deeper than the guard.
   std::string deep = "{\"op\":\"rowmin\",\"v\":";
   for (int i = 0; i < 80; ++i) deep += "[";

@@ -3,6 +3,10 @@
 // staircase machinery and the tube brute-force oracles.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <vector>
+
 #include "monge/array.hpp"
 #include "monge/brute.hpp"
 #include "monge/composite.hpp"
@@ -38,6 +42,20 @@ TEST(Validate, NonMongeDetected) {
   auto b = from_rows({{5, 0}, {0, 5}});  // 5+5 > 0+0
   EXPECT_FALSE(is_monge(b));
   EXPECT_TRUE(is_inverse_monge(b));
+}
+
+TEST(Validate, Int64ExtremesDoNotWrap) {
+  // INT64_MAX + 1 > 0 + 0: not Monge, though a wrapped sum says it is.
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  DenseArray<std::int64_t> a(2, 2, std::vector<std::int64_t>{kMax, 0, 0, 1});
+  EXPECT_FALSE(is_monge(a));
+  EXPECT_TRUE(is_inverse_monge(a));
+  DenseArray<std::int64_t> b(2, 2, std::vector<std::int64_t>{-kMax - 1, 0, 0, -1});
+  EXPECT_TRUE(is_monge(b));
+  EXPECT_FALSE(is_inverse_monge(b));
+  StaircaseArray<DenseArray<std::int64_t>> s(b, std::vector<std::size_t>{2, 2});
+  EXPECT_TRUE(is_staircase_monge(s));
+  EXPECT_FALSE(is_staircase_inverse_monge(s));
 }
 
 TEST(Generators, RandomMongeIsMonge) {

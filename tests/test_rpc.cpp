@@ -15,6 +15,7 @@
 
 #include <sys/socket.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -103,6 +104,34 @@ TEST(Framing, OversizedCompletedLineInOneFeed) {
   ASSERT_EQ(f.next(out), rpc::LineFramer::Result::Oversized);
   ASSERT_EQ(f.next(out), rpc::LineFramer::Result::Line);
   EXPECT_EQ(out, "after");
+}
+
+TEST(Framing, RegisterSizedLineInSegmentSizedReads) {
+  // A ~463 KB register line arriving in 1448-byte reads (one TCP segment
+  // each), followed by a short line in the same stream: both come out
+  // whole, and nothing stays buffered.
+  std::string big = R"({"op":"register_dense","rows":256,"cols":256,"data":[)";
+  for (int i = 0; i < 256 * 256; ++i) {
+    big += (i ? "," : "") + std::to_string(1000000 + i);
+  }
+  big += "]}";
+  ASSERT_GT(big.size(), 460000u);
+  const std::string stream = big + "\r\n" + kPing + "\n";
+  rpc::LineFramer f;
+  std::vector<std::string> lines;
+  std::string out;
+  for (std::size_t at = 0; at < stream.size(); at += 1448) {
+    f.feed(stream.data() + at, std::min<std::size_t>(1448, stream.size() - at));
+    rpc::LineFramer::Result r;
+    while ((r = f.next(out)) != rpc::LineFramer::Result::NeedMore) {
+      ASSERT_EQ(r, rpc::LineFramer::Result::Line);
+      lines.push_back(out);
+    }
+  }
+  ASSERT_EQ(lines.size(), 2u);
+  EXPECT_EQ(lines[0], big);
+  EXPECT_EQ(lines[1], kPing);
+  EXPECT_EQ(f.buffered(), 0u);
 }
 
 // ---------------------------------------------------------------------------

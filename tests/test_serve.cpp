@@ -577,5 +577,26 @@ TEST(Service, RegisterValidateRejectsNonMonge) {
   EXPECT_NE(ok.find("\"ok\":true"), std::string::npos) << ok;
 }
 
+TEST(Service, DimensionsWhoseProductWrapsAreTooLarge) {
+  // rows * cols wraps in 64 bits: 2^32 * 2^32 to 0, (2^62 + 1) * 4 to 4.
+  // Both must fail the size check, never reach an array sized by the
+  // wrapped product.
+  Service svc;
+  const char* kLines[] = {
+      R"({"op":"register_dense","id":1,"rows":4294967296,"cols":4294967296,"data":[]})",
+      R"({"op":"register_staircase","id":1,"rows":4294967296,"cols":4294967296,"data":[],"frontier":[]})",
+      R"({"op":"register_random","id":1,"rows":4294967296,"cols":4294967296})",
+      R"({"op":"register_dense","id":1,"rows":4611686018427387905,"cols":4,"data":[1,2,3,4]})",
+      R"({"op":"register_random","id":1,"rows":4,"cols":4611686018427387905})",
+  };
+  for (const char* line : kLines) {
+    EXPECT_EQ(svc.request(line),
+              R"({"error":"bad_request: array too large","id":1,"ok":false})")
+        << line;
+  }
+  EXPECT_NE(svc.request(R"({"op":"stats"})").find(R"("registry":{"arrays":0})"),
+            std::string::npos);
+}
+
 }  // namespace
 }  // namespace pmonge::serve
