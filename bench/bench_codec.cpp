@@ -3,8 +3,11 @@
 //
 //   parse:     Json-DOM parse_request (the slow path) vs the streaming
 //              canonicalizer (serve/codec.hpp) -- ns/req and allocs/req;
-//   register:  parse_request vs RequestCodec::decode_register on a 256x256
-//              register_dense line -- us/MB and allocs/line;
+//   register:  parse_request vs RequestCodec::decode_register on 256x256
+//              register_dense lines -- us/MB and allocs/line -- with the
+//              client's field order and short cells, with 8-19-digit
+//              cells (the scanner's general path), and with data before
+//              rows and cols (no size hint);
 //   serialize: make_ok_response (DOM dump) vs append_ok_response_raw
 //              (splice into a reused buffer) -- ns/resp and allocs/resp;
 //   serve:     warm cached-hit through Service with the fast path off
@@ -14,8 +17,8 @@
 // counter, main thread only).  The run exits nonzero if the warm fast
 // path allocates at all (the zero-steady-state-allocation gate CI runs),
 // if the register decoder's allocations per line differ between a 16x16
-// and a 256x256 line, or if either codec fails to beat the DOM parse on
-// time.
+// and a 256x256 line or between the three 256x256 lines, or if either
+// codec fails to beat the DOM parse on time.
 //
 //   --reqs N            requests per timed loop      (default 20000)
 //   --reps N            median-of-N repetitions      (default 5)
@@ -97,21 +100,43 @@ std::vector<std::string> request_lines() {
   return lines;
 }
 
-/// A register_dense line for an n x n Monge array, fields in the order
-/// the service benchmark's client sends them.
-std::string register_line(std::size_t n) {
+/// The cells of a register line.
+enum class Cells {
+  Monge,  // an n x n Monge array: short cells, as the benchmark client sends
+  Long    // random cells of 8 to 19 digits each
+};
+
+/// A register_dense line for an n x n array, fields in the order the
+/// service benchmark's client sends them, or with data before rows and
+/// cols.
+std::string register_line(std::size_t n, Cells cells = Cells::Monge,
+                          bool data_first = false) {
   pmonge::Rng rng(42);
   const auto a = pmonge::monge::random_monge(n, n, rng);
-  std::string line = "{\"id\":0,\"op\":\"register_dense\",\"rows\":" +
-                     std::to_string(n) + ",\"cols\":" + std::to_string(n) +
-                     ",\"data\":[";
+  std::string data = "[";
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < n; ++j) {
-      if (i + j > 0) line += ',';
-      line += std::to_string(a(i, j));
+      if (i + j > 0) data += ',';
+      if (cells == Cells::Monge) {
+        data += std::to_string(a(i, j));
+        continue;
+      }
+      const int digits = 8 + static_cast<int>(rng() % 12);
+      std::uint64_t lo = 1;
+      for (int d = 1; d < digits; ++d) lo *= 10;
+      const std::uint64_t hi =
+          digits == 19 ? std::uint64_t{INT64_MAX} : lo * 10 - 1;
+      data += std::to_string(lo + rng() % (hi - lo + 1));
     }
   }
-  return line + "]}";
+  data += ']';
+  const std::string dims =
+      "\"rows\":" + std::to_string(n) + ",\"cols\":" + std::to_string(n);
+  return data_first
+             ? "{\"id\":0,\"op\":\"register_dense\",\"data\":" + data + "," +
+                   dims + "}"
+             : "{\"id\":0,\"op\":\"register_dense\"," + dims +
+                   ",\"data\":" + data + "}";
 }
 
 struct Measured {
@@ -193,52 +218,69 @@ int main(int argc, char** argv) {
   pmonge::bench::print_header(
       "register parse: DOM parse_request vs decode_register, 256x256");
   {
-    // Wall time per MB of line and heap allocations per line.  The
-    // decoder's allocations must not grow with the cell count (its one
-    // vector is reserved up front), so they are counted at 16x16 too.
-    const std::string line = register_line(256);
+    // Wall time per MB of line and heap allocations per line, for each
+    // line form.  The decoder's allocations must not grow with the cell
+    // count (its one vector is reserved up front), so they are counted
+    // at 16x16 too, nor depend on the cells or the field order.
     const std::size_t n = std::max<std::size_t>(4, reqs / 1000);
-    const double mb = static_cast<double>(line.size()) / 1e6;
-    const Measured before = measure(
-        [&] {
-          for (std::size_t i = 0; i < n; ++i) {
-            if (pmonge::serve::parse_request(line).op.empty()) std::abort();
-          }
-        },
-        n, warmup, reps);
-    RequestCodec codec;
     const std::size_t max_cells = ServiceOptions{}.max_register_cells;
+    RequestCodec codec;
     const auto decode = [&](const std::string& l, std::size_t times) {
       for (std::size_t i = 0; i < times; ++i) {
         RegisterLine reg;
         if (!codec.decode_register(l, max_cells, reg)) std::abort();
       }
     };
-    const Measured after = measure([&] { decode(line, n); }, n, warmup, reps);
+    struct Row {
+      Measured before, after;
+    };
+    const auto register_row = [&](const char* path, const std::string& line,
+                                  Json::Obj r) {
+      const double mb = static_cast<double>(line.size()) / 1e6;
+      const Measured before = measure(
+          [&] {
+            for (std::size_t i = 0; i < n; ++i) {
+              if (pmonge::serve::parse_request(line).op.empty()) std::abort();
+            }
+          },
+          n, warmup, reps);
+      const Measured after = measure([&] { decode(line, n); }, n, warmup, reps);
+      const double before_us_mb = before.ns_per / 1e3 / mb;
+      const double after_us_mb = after.ns_per / 1e3 / mb;
+      table.add_row({std::string(path) + " (us/MB)",
+                     pmonge::Table::fixed(before_us_mb, 0),
+                     pmonge::Table::fixed(after_us_mb, 0),
+                     pmonge::Table::fixed(before_us_mb / after_us_mb, 2) + "x",
+                     pmonge::Table::fixed(before.allocs_per, 0),
+                     pmonge::Table::fixed(after.allocs_per, 2)});
+      r["path"] = path;
+      r["line_bytes"] = static_cast<std::int64_t>(line.size());
+      r["before_us_per_mb"] = before_us_mb;
+      r["after_us_per_mb"] = after_us_mb;
+      r["before_allocs_per_line"] = before.allocs_per;
+      r["after_allocs_per_line"] = after.allocs_per;
+      records.add(std::move(r));
+      return Row{before, after};
+    };
+
     const std::string small = register_line(16);
     const Measured after_small =
         measure([&] { decode(small, n); }, n, warmup, 1);
-    const double before_us_mb = before.ns_per / 1e3 / mb;
-    const double after_us_mb = after.ns_per / 1e3 / mb;
-    table.add_row({"register_parse (us/MB)",
-                   pmonge::Table::fixed(before_us_mb, 0),
-                   pmonge::Table::fixed(after_us_mb, 0),
-                   pmonge::Table::fixed(before_us_mb / after_us_mb, 2) + "x",
-                   pmonge::Table::fixed(before.allocs_per, 0),
-                   pmonge::Table::fixed(after.allocs_per, 2)});
-    Json::Obj r;
-    r["path"] = "register_parse";
-    r["line_bytes"] = static_cast<std::int64_t>(line.size());
-    r["before_us_per_mb"] = before_us_mb;
-    r["after_us_per_mb"] = after_us_mb;
-    r["before_allocs_per_line"] = before.allocs_per;
-    r["after_allocs_per_line"] = after.allocs_per;
-    r["after_allocs_per_line_16x16"] = after_small.allocs_per;
-    records.add(std::move(r));
+    Json::Obj small_allocs;
+    small_allocs["after_allocs_per_line_16x16"] = after_small.allocs_per;
+    const Row main =
+        register_row("register_parse", register_line(256), small_allocs);
+    const Row long_cells = register_row(
+        "register_parse_long_cells", register_line(256, Cells::Long), {});
+    const Row data_first =
+        register_row("register_parse_data_first",
+                     register_line(256, Cells::Monge, true), {});
     // Count gates first (they cannot flip on noise), then the time one.
-    if (after.allocs_per != after_small.allocs_per) gate_failed = true;
-    if (after.allocs_per >= before.allocs_per) gate_failed = true;
-    if (after.ns_per >= before.ns_per) gate_failed = true;
+    if (main.after.allocs_per != after_small.allocs_per) gate_failed = true;
+    if (long_cells.after.allocs_per != main.after.allocs_per) gate_failed = true;
+    if (data_first.after.allocs_per != main.after.allocs_per) gate_failed = true;
+    if (main.after.allocs_per >= main.before.allocs_per) gate_failed = true;
+    if (main.after.ns_per >= main.before.ns_per) gate_failed = true;
   }
 
   pmonge::bench::print_header(

@@ -152,8 +152,8 @@ std::string Client::recv_line() {
     if (r == LineFramer::Result::Oversized) {
       throw RpcError("rpc: oversized response line");
     }
-    char buf[65536];
-    const ssize_t k = ::recv(fd_, buf, sizeof(buf), 0);
+    constexpr std::size_t kReadChunk = 65536;
+    const ssize_t k = ::recv(fd_, framer_.prepare(kReadChunk), kReadChunk, 0);
     if (k == 0) {
       close();
       throw RpcError("rpc: connection closed by server");
@@ -164,7 +164,7 @@ std::string Client::recv_line() {
       close();
       throw RpcError(std::string("rpc: recv failed: ") + std::strerror(err));
     }
-    framer_.feed(buf, static_cast<std::size_t>(k));
+    framer_.commit(static_cast<std::size_t>(k));
   }
 }
 

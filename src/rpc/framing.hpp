@@ -14,9 +14,12 @@
 // caller, matching the stdin loop.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstring>
+#include <memory>
 #include <string>
+#include <string_view>
 
 namespace pmonge::rpc {
 
@@ -33,58 +36,96 @@ class LineFramer {
 
   std::size_t max_line_bytes() const { return max_; }
 
-  /// Append raw bytes from the stream.  While a previous oversized line
-  /// is being discarded, its bytes are dropped here instead of buffered,
-  /// so a hostile 1 GB line costs max_line_bytes of memory, not 1 GB.
-  void feed(const char* data, std::size_t n) {
-    if (discarding_) {
-      const char* nl = static_cast<const char*>(std::memchr(data, '\n', n));
-      if (nl == nullptr) return;  // still inside the oversized line
-      discarding_ = false;
-      const std::size_t skip = static_cast<std::size_t>(nl - data) + 1;
-      data += skip;
-      n -= skip;
+  /// Room for `n` more bytes at the end of the buffer: read from the
+  /// stream straight into it, then commit() what arrived.  Invalidates
+  /// the lines next() handed out, which leave the buffer here, all at
+  /// once: what stays is the tail of the last read, so each byte moves
+  /// at most once.
+  char* prepare(std::size_t n) {
+    if (head_ > 0) {
+      std::memmove(buf_.get(), buf_.get() + head_, size_ - head_);
+      size_ -= head_;
+      scan_ -= head_;
+      head_ = 0;
     }
-    // Lines next() handed out leave the buffer here, all at once: what
-    // stays is the tail of the last feed, so each byte moves at most once.
-    buf_.erase(0, head_);
-    scan_ -= head_;
-    head_ = 0;
-    buf_.append(data, n);
+    if (cap_ - size_ < n) {
+      const std::size_t cap = std::max(size_ + n, 2 * cap_);
+      auto grown = std::make_unique_for_overwrite<char[]>(cap);
+      if (size_ > 0) std::memcpy(grown.get(), buf_.get(), size_);
+      buf_ = std::move(grown);
+      cap_ = cap;
+    }
+    return buf_.get() + size_;
   }
 
-  /// Extract the next complete line, if any.
-  Result next(std::string& out) {
+  /// Take the first `n` bytes written at prepare()'s pointer.  While a
+  /// previous oversized line is being discarded, its bytes are dropped
+  /// here instead of kept, so a hostile 1 GB line costs max_line_bytes
+  /// plus one read of memory, not 1 GB.
+  void commit(std::size_t n) {
+    if (discarding_) {
+      const char* data = buf_.get() + size_;
+      const void* nl = std::memchr(data, '\n', n);
+      if (nl == nullptr) return;  // still inside the oversized line
+      discarding_ = false;
+      head_ = scan_ = size_ + static_cast<std::size_t>(
+                                  static_cast<const char*>(nl) - data) + 1;
+    }
+    size_ += n;
+  }
+
+  /// Append raw bytes from the stream (a copy; prepare/commit avoid it).
+  void feed(const char* data, std::size_t n) {
+    if (n == 0) return;
+    std::memcpy(prepare(n), data, n);
+    commit(n);
+  }
+
+  /// Extract the next complete line, if any.  `out` views the buffer and
+  /// stays valid until the next prepare() or feed().
+  Result next(std::string_view& out) {
     // Resume the newline search where the last one stopped: a line that
     // arrives in many reads is scanned once, not once per read.
-    const std::size_t nl = buf_.find('\n', scan_);
-    if (nl == std::string::npos) {
-      scan_ = buf_.size();
+    const char* const b = buf_.get();
+    const void* found =
+        scan_ < size_ ? std::memchr(b + scan_, '\n', size_ - scan_) : nullptr;
+    if (found == nullptr) {
+      scan_ = size_;
       if (buffered() > max_) {
         // The line is already too long and its end has not arrived;
-        // report it now and drop everything buffered (feed() keeps
+        // report it now and drop everything buffered (commit() keeps
         // dropping until the newline shows up).
-        buf_.clear();
-        head_ = scan_ = 0;
+        head_ = scan_ = size_ = 0;
         discarding_ = true;
         return Result::Oversized;
       }
       return Result::NeedMore;
     }
+    const auto nl = static_cast<std::size_t>(static_cast<const char*>(found) - b);
     const std::size_t start = head_;
     head_ = scan_ = nl + 1;
     if (nl - start > max_) return Result::Oversized;
     std::size_t len = nl - start;
-    if (len > 0 && buf_[nl - 1] == '\r') --len;  // CRLF tolerance
-    out.assign(buf_, start, len);
+    if (len > 0 && b[nl - 1] == '\r') --len;  // CRLF tolerance
+    out = std::string_view(b + start, len);
     return Result::Line;
   }
 
+  /// next(), copying the line out (for callers that keep it).
+  Result next(std::string& out) {
+    std::string_view line;
+    const Result r = next(line);
+    if (r == Result::Line) out.assign(line);
+    return r;
+  }
+
   /// Bytes buffered awaiting a newline.
-  std::size_t buffered() const { return buf_.size() - head_; }
+  std::size_t buffered() const { return size_ - head_; }
 
  private:
-  std::string buf_;
+  std::unique_ptr<char[]> buf_;
+  std::size_t cap_ = 0;
+  std::size_t size_ = 0;  // bytes received into buf_
   std::size_t head_ = 0;  // start of the first line not yet handed out
   std::size_t scan_ = 0;  // no newline in [head_, scan_)
   std::size_t max_;

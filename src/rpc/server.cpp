@@ -337,8 +337,11 @@ struct Server::Impl {
       // eventually arrive are identical.
       fault::fire_delay(fault::Site::RpcReadStall);
     }
-    char buf[65536];
-    const ssize_t k = ::recv(conn->fd, buf, sizeof(buf), 0);
+    // Straight into the framer's buffer: the request lines handed out
+    // below view it, so a register line is never copied on its way in.
+    constexpr std::size_t kReadChunk = 65536;
+    const ssize_t k =
+        ::recv(conn->fd, conn->framer.prepare(kReadChunk), kReadChunk, 0);
     if (k == 0) {
       conn->peer_eof = true;
       pump(conn);
@@ -352,9 +355,9 @@ struct Server::Impl {
     stats.bytes_in.fetch_add(static_cast<std::uint64_t>(k),
                              std::memory_order_relaxed);
     conn->last_active = Clock::now();
-    conn->framer.feed(buf, static_cast<std::size_t>(k));
+    conn->framer.commit(static_cast<std::size_t>(k));
 
-    std::string line;
+    std::string_view line;
     while (true) {
       const LineFramer::Result r = conn->framer.next(line);
       if (r == LineFramer::Result::NeedMore) break;
@@ -396,8 +399,7 @@ struct Server::Impl {
       }
       auto slot = std::make_shared<Slot>();
       conn->pending.push_back(slot);
-      service.submit_cb(std::move(line),
-                        Completion{wakeup, conn, std::move(slot)});
+      service.submit_cb(line, Completion{wakeup, conn, std::move(slot)});
     }
     pump(conn);
   }

@@ -1,10 +1,12 @@
 #include "serve/codec.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cerrno>
 #include <charconv>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 
 #include "serve/cache.hpp"
 #include "serve/json.hpp"
@@ -20,14 +22,65 @@ constexpr int kMaxDepth = 64;
 
 bool is_dig(char c) { return c >= '0' && c <= '9'; }
 
+bool is_ws(char c) { return c == ' ' || c == '\t' || c == '\n' || c == '\r'; }
+
+// Eight line bytes as one word, the first byte in the low lane.
+std::uint64_t load8(const char* p) {
+  std::uint64_t w = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(&w, p, 8);
+  } else {
+    for (int i = 0; i < 8; ++i) {
+      w |= std::uint64_t{static_cast<unsigned char>(p[i])} << (8 * i);
+    }
+  }
+  return w;
+}
+
+// The register cell's common token, read eight bytes at a time: 1-7
+// ASCII digits then a non-digit, all eight bytes at `p` inside the line.
+// Returns the digit count and sets `value`, or returns 0 for any other
+// form (no digit, eight or more digits), which the caller reads the
+// general way.
+int swar_digits(const char* p, std::uint64_t& value) {
+  const std::uint64_t x = load8(p) ^ 0x3030303030303030;  // '0'..'9' -> 0..9
+  // A digit lane is 0..9: high nibble clear, and clear still after +6.
+  // A lane's +6 carry reaches only later lanes, and only out of a
+  // non-digit, so the first flagged lane is the first non-digit.
+  const std::uint64_t nondigit =
+      (x | (x + 0x0606060606060606)) & 0xF0F0F0F0F0F0F0F0;
+  if (nondigit == 0) return 0;
+  const int len = std::countr_zero(nondigit) >> 3;
+  if (len == 0) return 0;
+  // The digits to the top lanes, zeros (leading zeros) below them: an
+  // eight-digit number, then three multiply-shift steps pair up lanes.
+  std::uint64_t d = x << (8 * (8 - len));
+  d = d * 10 + (d >> 8);  // lane 2k: two-digit value of digits 2k, 2k+1
+  d = (((d & 0x000000FF000000FF) * (100 + (1000000ULL << 32))) +
+       (((d >> 16) & 0x000000FF000000FF) * (1 + (10000ULL << 32)))) >>
+      32;
+  value = d;
+  return len;
+}
+
+// How many elements to reserve for a data / frontier array declared as
+// `rows` x `cols`: 0 (count them instead) unless both are positive and
+// their product fits the register guard.  Capped by the bytes left in
+// the line, two per element at least, so a small line that claims a
+// huge array cannot make the decoder reserve for it.
+std::size_t size_hint(std::int64_t rows, std::int64_t cols,
+                      std::size_t max_cells, std::size_t bytes_left) {
+  if (rows <= 0 || cols <= 0) return 0;
+  const auto r = static_cast<std::uint64_t>(rows);
+  const auto c = static_cast<std::uint64_t>(cols);
+  if (r > max_cells / c) return 0;
+  return std::min<std::size_t>(r * c, bytes_left / 2);
+}
+
 }  // namespace
 
 void RequestCodec::skip_ws() {
-  while (pos_ < s_.size() &&
-         (s_[pos_] == ' ' || s_[pos_] == '\t' || s_[pos_] == '\n' ||
-          s_[pos_] == '\r')) {
-    ++pos_;
-  }
+  while (pos_ < s_.size() && is_ws(s_[pos_])) ++pos_;
 }
 
 // A string with no escapes and no control bytes: its source bytes are
@@ -71,35 +124,71 @@ bool RequestCodec::read_int(std::int64_t& out) {
          (s_[pos_] != '.' && s_[pos_] != 'e' && s_[pos_] != 'E');
 }
 
-// A flat array of integers, appended to `out`.  Reserved once up front: a
-// flat integer array has one more element than commas before its ']'
-// (any other array refuses below, so a miscount costs nothing).  More
-// than `max_len` elements refuses.
+// A flat array of integers, appended to `out`, in one pass.  Sized up
+// front from `hint` (see size_hint) or, without one, from a count of the
+// commas before the first ']' (a flat integer array has one more element
+// than that; any other array refuses below, so a miscount costs
+// nothing).  More than `max_len` elements refuses.
+//
+// Each element is tried as the SWAR token (swar_digits, after an
+// optional '-') followed by ',' or ']'; every other form -- whitespace,
+// eight or more digits, a token near the end of the line, junk -- goes
+// through read_int, so values and refusals are read_int's by
+// construction.  The cursor lives in locals: pos_ is written only
+// around read_int calls and on return.
 bool RequestCodec::read_ints(std::vector<std::int64_t>& out,
-                             std::size_t max_len) {
+                             std::size_t max_len, std::size_t hint) {
   skip_ws();
   if (pos_ >= s_.size() || s_[pos_] != '[') return false;
   ++pos_;
-  const std::string_view rest = s_.substr(pos_);
-  const std::size_t close = rest.find(']');
-  if (close == std::string_view::npos) return false;
-  const auto len = static_cast<std::size_t>(
-      std::count(rest.begin(), rest.begin() + close, ',')) + 1;
-  if (len > max_len) return false;
-  out.reserve(len);
-  skip_ws();
-  if (pos_ < s_.size() && s_[pos_] == ']') {
-    ++pos_;
+  const char* const base = s_.data();
+  const char* const end = base + s_.size();
+  const char* p = base + pos_;
+  if (hint == 0) {
+    const std::string_view rest = s_.substr(pos_);
+    const std::size_t close = rest.find(']');
+    if (close == std::string_view::npos) return false;
+    hint = static_cast<std::size_t>(
+               std::count(rest.begin(), rest.begin() + close, ',')) + 1;
+    if (hint > max_len) return false;
+  }
+  out.reserve(hint);
+  while (p < end && is_ws(*p)) ++p;
+  if (p < end && *p == ']') {
+    pos_ = static_cast<std::size_t>(p + 1 - base);
     return true;
   }
   while (true) {
+    if (out.size() == max_len) return false;
     std::int64_t v;
-    if (!read_int(v)) return false;
+    const bool neg = p < end && *p == '-';
+    const char* const digits = p + (neg ? 1 : 0);
+    std::uint64_t mag = 0;
+    int len = 0;
+    if (end - digits >= 8 && (len = swar_digits(digits, mag)) != 0) {
+      const auto m = static_cast<std::int64_t>(mag);  // < 10^7
+      v = neg ? -m : m;
+      p = digits + len;
+      const char c = *p;  // inside the eight bytes read
+      if (c == ',') {
+        out.push_back(v);
+        ++p;
+        continue;
+      }
+      if (c == '.' || c == 'e' || c == 'E') return false;  // not an int
+    } else {
+      pos_ = static_cast<std::size_t>(p - base);
+      if (!read_int(v)) return false;
+      p = base + pos_;
+    }
     out.push_back(v);
-    skip_ws();
-    if (pos_ >= s_.size()) return false;
-    const char c = s_[pos_++];
-    if (c == ']') return true;
+    while (p < end && is_ws(*p)) ++p;
+    if (p >= end) return false;
+    const char c = *p++;
+    if (c == ']') {
+      pos_ = static_cast<std::size_t>(p - base);
+      return true;
+    }
     if (c != ',') return false;
   }
 }
@@ -532,8 +621,19 @@ bool RequestCodec::decode_register(std::string_view line,
       case kId: ok = read_int(out.id); break;
       case kRows: ok = read_int(out.rows); break;
       case kCols: ok = read_int(out.cols); break;
-      case kData: ok = read_ints(out.data, max_cells); break;
-      case kFrontier: ok = read_ints(out.frontier, max_cells); break;
+      case kData:
+        ok = read_ints(out.data, max_cells,
+                       (seen & kRows) != 0 && (seen & kCols) != 0
+                           ? size_hint(out.rows, out.cols, max_cells,
+                                       s_.size() - pos_)
+                           : 0);
+        break;
+      case kFrontier:
+        ok = read_ints(out.frontier, max_cells,
+                       (seen & kRows) != 0
+                           ? size_hint(out.rows, 1, max_cells, s_.size() - pos_)
+                           : 0);
+        break;
       case kKind: ok = read_plain_string(out.kind); break;
       case kValidate: ok = read_bool(out.validate); break;
     }

@@ -17,7 +17,9 @@
 // 2. decode_register, the register_dense / register_staircase reader.  A
 // register line is mostly its data array, and the DOM builds a Json node
 // per cell only to have Service copy each one out.  The decoder writes
-// the integers straight into the vector the registered array adopts.  It
+// the integers straight into the vector the registered array adopts,
+// sized once from `rows` and `cols` when they come before `data`, and
+// reads the common short cell eight bytes at a time (read_ints).  It
 // reads fields only; every register check (rows and cols positive, size,
 // data length, frontier, kind, validate) runs afterwards in Service, in
 // the one function the DOM path calls too, so the two paths answer with
@@ -122,7 +124,8 @@ class RequestCodec {
   bool read_plain_string(std::string_view& out);
   bool scan_key(std::string_view& key);
   bool read_int(std::int64_t& out);
-  bool read_ints(std::vector<std::int64_t>& out, std::size_t max_len);
+  bool read_ints(std::vector<std::int64_t>& out, std::size_t max_len,
+                 std::size_t hint);
   bool read_bool(bool& out);
   void skip_ws();
   void rebuild_object(std::size_t base, std::size_t body_start);

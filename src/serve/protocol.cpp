@@ -4,7 +4,7 @@
 
 namespace pmonge::serve {
 
-Request parse_request(const std::string& line) {
+Request parse_request(std::string_view line) {
   Request req;
   req.body = Json::parse(line);
   if (req.body.type() != Json::Type::Object) {

@@ -64,7 +64,7 @@ const QueryOp* find_query_op(std::string_view op);
 
 /// Parse one request line; throws JsonError on malformed input (bad
 /// JSON, missing or non-string op).  Computes the signature for query ops.
-Request parse_request(const std::string& line);
+Request parse_request(std::string_view line);
 
 /// Serialize a success / error response (canonical bytes).
 std::string make_ok_response(std::int64_t id, Json result);

@@ -113,7 +113,7 @@ bool Service::serve_cached(std::string_view line, std::string& out,
   return true;
 }
 
-void Service::submit_cb(std::string line, ResponseCallback done) {
+void Service::submit_cb(std::string_view line, ResponseCallback done) {
   std::string_view op_seen;  // the top-level op the fast path read, if any
   {
     // Cached-hit fast path: answered inline on the submitting thread,
@@ -228,7 +228,7 @@ void Service::submit_cb(std::string line, ResponseCallback done) {
 std::future<std::string> Service::submit(std::string line) {
   auto promise = std::make_shared<std::promise<std::string>>();
   std::future<std::string> fut = promise->get_future();
-  submit_cb(std::move(line),
+  submit_cb(line,
             [promise](std::string resp) { promise->set_value(std::move(resp)); });
   return fut;
 }

@@ -89,8 +89,9 @@ class Service {
 
   /// Submit one request line, callback form: the transport front-ends'
   /// entry point (the TCP server enqueues the response into the owning
-  /// connection from here).  Thread-safe.
-  void submit_cb(std::string line, ResponseCallback done);
+  /// connection from here).  The line is read during the call and not
+  /// kept, so it may view a buffer the caller reuses.  Thread-safe.
+  void submit_cb(std::string_view line, ResponseCallback done);
 
   /// Submit one request line.  Control ops resolve before returning;
   /// query ops resolve when the worker answers (immediately with

@@ -409,6 +409,195 @@ TEST(CodecDifferential, AcceptedLinesMatchSlowPathExactly) {
   EXPECT_GT(registered, 4000u);
 }
 
+/// Register lines aimed at the cell scanner (RequestCodec::read_ints):
+/// every token length from 1 to 20 digits with and without '-' and
+/// leading zeros, the 7/8-digit boundary of the eight-byte token path,
+/// int64 extremes and one past them, digits continued by '.', 'e' or
+/// 'E', whitespace around cells, and keys in any order, so `data` comes
+/// before `rows`/`cols` (no size hint) about a third of the time.
+class CellLineGen {
+ public:
+  explicit CellLineGen(std::uint64_t seed) : rng_(seed) {}
+
+  /// A cell the DOM reads as an int64.
+  std::string int_cell() {
+    switch (rng_() % 8) {
+      case 0: {
+        static const char* kEdges[] = {
+            "9223372036854775807", "9223372036854775806",
+            "-9223372036854775808", "-9223372036854775807",
+            "9999999", "-9999999", "10000000", "-10000000", "1234567",
+            "12345678", "0000000", "00000000", "0", "-0", "0000009",
+            "-0000001", "000000000000000000001", "-00000000000000000000"};
+        return kEdges[rng_() % 18];
+      }
+      case 1:
+        return std::to_string(static_cast<std::int64_t>(rng_()));
+      default: {
+        // 1 to 18 digits (always in range), any of them a leading zero,
+        // sometimes behind up to two more zeros: 1 to 20 digits in all.
+        std::string t = pct(30) ? "-" : "";
+        if (pct(20)) t.append(1 + rng_() % 2, '0');
+        const std::size_t n = 1 + rng_() % 18;
+        for (std::size_t i = 0; i < n; ++i) {
+          t.push_back(static_cast<char>('0' + rng_() % 10));
+        }
+        return t;
+      }
+    }
+  }
+
+  /// A cell the DOM reads as something other than an int64.
+  std::string bad_cell() {
+    static const char* kTails[] = {".5", "e3", "E2", ".0e1", "e+1", "E-2"};
+    switch (rng_() % 4) {
+      case 0: {
+        static const char* kOut[] = {
+            "9223372036854775808", "-9223372036854775809",
+            "10000000000000000000", "-99999999999999999999"};
+        return kOut[rng_() % 4];
+      }
+      case 1:  // up to 19 digits, then a fraction or exponent
+        return int_cell().substr(0, 20) + kTails[rng_() % 6];
+      default: {  // 1 to 7 digits, then a fraction or exponent
+        std::string t = pct(50) ? "-" : "";
+        const std::size_t n = 1 + rng_() % 7;
+        for (std::size_t i = 0; i < n; ++i) {
+          t.push_back(static_cast<char>('0' + rng_() % 10));
+        }
+        return t + kTails[rng_() % 6];
+      }
+    }
+  }
+
+  /// A register line with `count` data cells declared as rows x cols;
+  /// one line in eight carries a non-integer cell somewhere.
+  std::string line(std::size_t rows, std::size_t cols, std::size_t count) {
+    const bool stair = pct(25);
+    const bool spaced = pct(20);
+    std::string data = "[";
+    const std::size_t bad = pct(12) ? rng_() % std::max<std::size_t>(count, 1)
+                                    : count;
+    for (std::size_t k = 0; k < count; ++k) {
+      if (k) data += ',';
+      if (spaced && pct(30)) data += " ";
+      data += k == bad ? bad_cell() : int_cell();
+      if (spaced && pct(30)) data += "\n";
+    }
+    data += ']';
+    std::vector<std::string> pairs = {
+        std::string("\"op\":") +
+            (stair ? "\"register_staircase\"" : "\"register_dense\""),
+        "\"rows\":" + std::to_string(rows),
+        "\"cols\":" + std::to_string(cols),
+        "\"data\":" + data};
+    if (pct(50)) pairs.push_back("\"id\":" + int_cell().substr(0, 18));
+    if (stair) {
+      std::string fr = "[";
+      for (std::size_t i = 0; i < rows + (pct(5) ? 1 : 0); ++i) {
+        if (i) fr += ',';
+        fr += pct(90) ? std::to_string(cols - std::min(i, cols)) : int_cell();
+      }
+      pairs.push_back("\"frontier\":" + fr + "]");
+    }
+    std::shuffle(pairs.begin(), pairs.end(), rng_);
+    std::string out = "{";
+    for (std::size_t i = 0; i < pairs.size(); ++i) {
+      if (i) out += ',';
+      out += pairs[i];
+    }
+    return out + "}";
+  }
+
+  bool pct(int p) { return static_cast<int>(rng_() % 100) < p; }
+  std::size_t below(std::size_t n) { return rng_() % n; }
+
+ private:
+  std::mt19937_64 rng_;
+};
+
+/// Whether every element of the DOM array `a` is an int64.
+bool all_ints(const serve::Json& a) {
+  return std::all_of(a.arr().begin(), a.arr().end(), [](const serve::Json& v) {
+    return v.type() == serve::Json::Type::Int;
+  });
+}
+
+/// The decoder must accept `line` exactly when every cell is an int64
+/// and both arrays fit `max_cells`, and then read the DOM's values.  A
+/// Service fed the line and one fed it through the DOM (an extra member
+/// the decoder refuses) must answer with the same bytes.
+void check_cell_line(RequestCodec& codec, Service& streamed, Service& dom,
+                     const std::string& line, std::size_t max_cells,
+                     std::size_t& accepted) {
+  const Request r = serve::parse_request(line);
+  const serve::Json& b = r.body;
+  const serve::Json* fr = b.find("frontier");
+  const bool want = all_ints(b.at("data")) &&
+                    b.at("data").arr().size() <= max_cells &&
+                    (fr == nullptr ||
+                     (all_ints(*fr) && fr->arr().size() <= max_cells));
+  RegisterLine reg;
+  const bool got = codec.decode_register(line, max_cells, reg);
+  ASSERT_EQ(got, want) << line.substr(0, 200);
+  if (!got) return;
+  ++accepted;
+  expect_same_register(r, reg, line.substr(0, 200));
+  std::string padded = line;
+  padded.insert(padded.rfind('}'), ",\"dom_only\":0");
+  ASSERT_EQ(streamed.request(line), dom.request(padded)) << line.substr(0, 200);
+}
+
+TEST(CodecDifferential, RegisterCellScannerMatchesSlowPath) {
+  CellLineGen gen(20261018);
+  RequestCodec codec;
+  Service streamed, dom;
+  const std::size_t max_cells = streamed.options().max_register_cells;
+  std::size_t accepted = 0, large = 0;
+  for (int iter = 0; iter < 3000; ++iter) {
+    // Mostly small arrays, whose every cell sits near the line's end;
+    // one line in ten a 64x64, thousands of tokens through the scanner.
+    const bool big = iter % 10 == 0;
+    const std::size_t rows = big ? 64 : 1 + gen.below(4);
+    const std::size_t cols = big ? 64 : 1 + gen.below(4);
+    // rows * cols is the element count, or off by one now and then.
+    std::size_t count = rows * cols;
+    if (gen.pct(8)) count = gen.pct(50) ? count + 1 : count - 1;
+    const std::string line = gen.line(rows, cols, count);
+    const std::size_t before = accepted;
+    check_cell_line(codec, streamed, dom, line, max_cells, accepted);
+    if (HasFatalFailure()) return;
+    if (big && accepted > before) ++large;
+  }
+  // Vacuous if the scanner refuses the lines it exists for.
+  EXPECT_GT(accepted, 2000u);
+  EXPECT_GT(large, 200u);
+}
+
+TEST(CodecDifferential, RegisterCellCountAtTheGuard) {
+  // Element counts at max_register_cells and one above, with the size
+  // hint exact, the hint disagreeing with the count, and no hint.
+  constexpr std::size_t kMax = 64;
+  ServiceOptions opts;
+  opts.max_register_cells = kMax;
+  Service streamed(opts), dom(opts);
+  RequestCodec codec;
+  CellLineGen gen(7);
+  std::size_t accepted = 0;
+  for (const std::size_t count : {kMax - 1, kMax, kMax + 1}) {
+    for (const std::size_t rows : {std::size_t{1}, std::size_t{8}}) {
+      for (const std::size_t cols : {kMax / rows, count / rows}) {
+        for (int rep = 0; rep < 20; ++rep) {
+          const std::string line = gen.line(rows, cols, count);
+          check_cell_line(codec, streamed, dom, line, kMax, accepted);
+          if (HasFatalFailure()) return;
+        }
+      }
+    }
+  }
+  EXPECT_GT(accepted, 100u);
+}
+
 TEST(CodecDifferential, AcceptsTheFormsTheFastPathExistsFor) {
   RequestCodec codec;
   FastQuery q;

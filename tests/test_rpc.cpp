@@ -106,6 +106,33 @@ TEST(Framing, OversizedCompletedLineInOneFeed) {
   EXPECT_EQ(out, "after");
 }
 
+TEST(Framing, PreparedReadsYieldViewsOfTheBuffer) {
+  // The server's read path: bytes land in prepare()'s room, commit()
+  // takes them and next() hands out views of the buffer -- through an
+  // oversized line's discard and a CRLF, in 5-byte reads.
+  rpc::LineFramer f(8);
+  const std::string stream = std::string(20, 'x') + "\nab\r\ncd\nef";
+  std::vector<std::string> lines;
+  std::size_t oversized = 0;
+  for (std::size_t at = 0; at < stream.size(); at += 5) {
+    const std::size_t n = std::min<std::size_t>(5, stream.size() - at);
+    std::memcpy(f.prepare(16), stream.data() + at, n);
+    f.commit(n);
+    std::string_view out;
+    rpc::LineFramer::Result r;
+    while ((r = f.next(out)) != rpc::LineFramer::Result::NeedMore) {
+      if (r == rpc::LineFramer::Result::Oversized) {
+        ++oversized;
+      } else {
+        lines.emplace_back(out);
+      }
+    }
+  }
+  EXPECT_EQ(oversized, 1u);
+  EXPECT_EQ(lines, (std::vector<std::string>{"ab", "cd"}));
+  EXPECT_EQ(f.buffered(), 2u);
+}
+
 TEST(Framing, RegisterSizedLineInSegmentSizedReads) {
   // A ~463 KB register line arriving in 1448-byte reads (one TCP segment
   // each), followed by a short line in the same stream: both come out
