@@ -195,6 +195,12 @@ std::string prometheus_text(const Json& stats) {
   endpoint_counters(w, endpoints, "degraded",
                     "pmonge_requests_degraded_total",
                     "Requests answered via the degraded (breaker) path");
+  endpoint_counters(w, endpoints, "inline", "pmonge_requests_inline_total",
+                    "Cache misses answered on the submitting thread");
+  endpoint_counters(w, endpoints, "inline_slow",
+                    "pmonge_requests_inline_slow_total",
+                    "Inline answers that took longer than the pool hand-off "
+                    "the cost profile prices");
   endpoint_latency(w, endpoints);
 
   section(w, stats.find("batches"),
@@ -437,6 +443,9 @@ std::string prometheus_text(const Json& stats) {
             "Bytes written to sockets", "counter"},
            {"read_pauses", "pmonge_rpc_read_pauses_total",
             "Backpressure engagements (reads paused)", "counter"},
+           {"wake_signals", "pmonge_rpc_wake_signals_total",
+            "Event-loop wake-ups signalled by off-loop completions",
+            "counter"},
            {"outbound_high_water_bytes", "pmonge_rpc_outbound_high_water_bytes",
             "Peak per-connection outbound buffer bytes", "gauge"}});
 

@@ -73,11 +73,13 @@ struct Conn {
 /// Completion rendezvous between the service worker and the event loop.
 /// Owned jointly by the server and every outstanding callback, so a
 /// response that lands while the server is tearing down still has a live
-/// list and eventfd to write to (it is simply never drained).
+/// list, eventfd and stats block to write to (it is simply never
+/// drained).
 struct Wakeup {
   std::mutex mu;
   std::vector<std::shared_ptr<Conn>> ready;
   int efd = -1;
+  ServerStats stats;  // the server's counters, here for that reason
 
   Wakeup() { efd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC); }
   ~Wakeup() {
@@ -89,6 +91,13 @@ struct Wakeup {
   }
 };
 
+/// The connection whose framed lines the loop thread is submitting right
+/// now (inside handle_readable), or null.  A response that resolves
+/// during such a submission -- control ops, cached hits, inline answers
+/// -- is drained by the pump that ends handle_readable, so it needs no
+/// wake-up.
+thread_local const Conn* t_reading = nullptr;
+
 /// The std::function a submitted line resolves through.  Copyable (the
 /// service keeps a copy to answer `overloaded` on a full queue).
 struct Completion {
@@ -99,11 +108,13 @@ struct Completion {
   void operator()(std::string resp) const {
     slot->resp = std::move(resp);
     slot->ready.store(true, std::memory_order_release);
+    if (t_reading == conn.get()) return;
     if (!conn->queued.exchange(true, std::memory_order_acq_rel)) {
       {
         std::lock_guard<std::mutex> lock(wake->mu);
         wake->ready.push_back(conn);
       }
+      wake->stats.wake_signals.fetch_add(1, std::memory_order_relaxed);
       wake->signal();
     }
   }
@@ -114,8 +125,8 @@ struct Completion {
 struct Server::Impl {
   serve::Service& service;
   ServerOptions opts;
-  ServerStats stats;
   std::shared_ptr<Wakeup> wakeup = std::make_shared<Wakeup>();
+  ServerStats& stats = wakeup->stats;
 
   int ep = -1;
   int lfd = -1;
@@ -357,6 +368,10 @@ struct Server::Impl {
     conn->last_active = Clock::now();
     conn->framer.commit(static_cast<std::size_t>(k));
 
+    struct Reading {
+      explicit Reading(const Conn* c) { t_reading = c; }
+      ~Reading() { t_reading = nullptr; }
+    } reading(conn.get());
     std::string_view line;
     while (true) {
       const LineFramer::Result r = conn->framer.next(line);
@@ -563,6 +578,7 @@ serve::Json Server::stats_json() const {
   o["bytes_in"] = v(s.bytes_in);
   o["bytes_out"] = v(s.bytes_out);
   o["read_pauses"] = v(s.read_pauses);
+  o["wake_signals"] = v(s.wake_signals);
   o["outbound_high_water_bytes"] = v(s.outbound_high_water);
   return serve::Json(std::move(o));
 }

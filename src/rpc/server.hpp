@@ -7,6 +7,9 @@
 //
 // One thread runs the event loop (run()); the service's worker resolves
 // responses on its own thread and wakes the loop through an eventfd.
+// Responses the service gives while the loop is still submitting their
+// line (control ops, cached hits, inline answers) skip the eventfd: the
+// pump that ends the read drains them.
 // Everything per-connection (read buffer, pending-response window,
 // outbound buffer) is touched only by the loop thread; the completion
 // path touches one atomic per response plus the wakeup queue.
@@ -74,6 +77,10 @@ struct ServerStats {
   std::atomic<std::uint64_t> bytes_in{0};
   std::atomic<std::uint64_t> bytes_out{0};
   std::atomic<std::uint64_t> read_pauses{0};      // backpressure engagements
+  // eventfd writes that woke the loop for responses the worker gave.
+  // Answers given while their line is being read -- control ops, cached
+  // hits, inline answers -- send none.
+  std::atomic<std::uint64_t> wake_signals{0};
   std::atomic<std::uint64_t> active_conns{0};     // gauge
   std::atomic<std::uint64_t> conn_high_water{0};  // peak concurrent conns
   std::atomic<std::uint64_t> outbound_high_water{0};  // peak per-conn bytes

@@ -16,6 +16,9 @@
 // pause(true) holds poppers without blocking producers -- the test and
 // bench hook that lets a caller accumulate a burst and observe it as one
 // coalesced batch.  stop() overrides pause so shutdown always drains.
+// idle() (empty and not paused) is how a producer asks whether it may
+// answer a request itself without overtaking admitted work; a paused
+// queue is never idle, so pause() holds every request.
 #pragma once
 
 #include <chrono>
@@ -104,6 +107,12 @@ class AdmissionQueue {
   std::size_t size() const {
     std::lock_guard<std::mutex> lock(mu_);
     return q_.size();
+  }
+  /// Nothing waits to be popped and poppers are not held: work done now
+  /// instead of pushed overtakes nothing that was admitted before it.
+  bool idle() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return q_.empty() && !paused_;
   }
   std::size_t capacity() const { return capacity_; }
   std::uint64_t admitted() const {

@@ -35,6 +35,10 @@ struct EndpointMetrics {
   support::Counter cache_misses;
   support::Counter retried;       // group retry attempts this op rode
   support::Counter degraded;      // answered via the degraded (breaker) path
+  support::Counter inline_answers;  // cache misses answered on the submitting
+                                    // thread instead of the queue
+  support::Counter inline_slow;     // ... of which took longer than the
+                                    // pool hand-off the profile prices
   support::LogHistogram latency_us;  // submit -> response, microseconds
 };
 
@@ -86,6 +90,8 @@ class ServiceMetrics {
       e["cache_misses"] = m->cache_misses.value();
       e["retried"] = m->retried.value();
       e["degraded"] = m->degraded.value();
+      e["inline"] = m->inline_answers.value();
+      e["inline_slow"] = m->inline_slow.value();
       Json::Obj lat;
       lat["count"] = m->latency_us.count();
       lat["sum_us"] = m->latency_us.sum();

@@ -14,8 +14,10 @@
 //     after its response;
 //   * query plane (rowmin / rowmax / staircase_rowmin / staircase_rowmax /
 //     tubemax / tubemin / string_edit / largest_rect / empty_rect /
-//     polygon_neighbors / explain) -- admitted through the bounded queue,
-//     coalesced by the batcher, memoized by signature.  explain wraps
+//     polygon_neighbors / explain) -- admitted through the bounded queue
+//     (or, when priced below one pool hand-off and the queue is idle,
+//     answered on the submitting thread), coalesced by the batcher,
+//     memoized by signature.  explain wraps
 //     another query ({"op":"explain","query":{...}}) and reports the
 //     planner's chosen plan plus predicted vs actual cost; like stats it
 //     is observability output and is never cached.

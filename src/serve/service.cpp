@@ -189,12 +189,22 @@ void Service::submit_cb(std::string_view line, ResponseCallback done) {
 
   EndpointMetrics& em = metrics_.endpoint(req.op);
 
+  // Inline answers need the same quiet state as the cached-hit path:
+  // both tracing and fault injection hook the queued path's stages.
+  const bool may_inline =
+      opts_.fast_path && !obs::enabled() && !fault::armed();
+  // The plan's price serves deadline admission and the inline rule, so
+  // it is read once, and only when one of them will use it.  explain is
+  // exempt from both (it exists to report the plan).
+  const bool priced = planner_.enabled() && req.op != "explain" &&
+                      (deadline_ms >= 0 || may_inline);
+  const double predicted_us =
+      priced ? planner_.predicted_us(query_shape(req, registry_)) : 0.0;
+
   // Deadline-aware admission: if the cost model already knows the
   // deadline cannot be met, reject before the request burns queue space
-  // or engine time.  explain is exempt (it exists to report the plan).
-  if (planner_.enabled() && deadline_ms >= 0 && req.op != "explain") {
-    const double predicted_us =
-        planner_.predicted_us(query_shape(req, registry_));
+  // or engine time.
+  if (priced && deadline_ms >= 0) {
     if (predicted_us > static_cast<double>(deadline_ms) * 1000.0) {
       em.unmeetable.add();
       em.errors.add();
@@ -204,6 +214,19 @@ void Service::submit_cb(std::string_view line, ResponseCallback done) {
               std::to_string(
                   static_cast<std::int64_t>(std::llround(predicted_us))) +
               "us exceeds deadline " + std::to_string(deadline_ms) + "ms"));
+      return;
+    }
+  }
+  // Oracular granularity at the front door: a miss the profile prices
+  // below one pool hand-off is answered here, on the submitting thread.
+  // Only when nothing is queued ahead of it (and the queue is not
+  // paused), so admission order holds, and only before its deadline,
+  // which the worker would otherwise answer `deadline_expired`.
+  if (priced && may_inline &&
+      predicted_us * 1000.0 < planner_.profile().par_dispatch_ns) {
+    const auto t0 = ServeClock::now();
+    if (t0 < deadline && queue_->idle()) {
+      answer_inline(req, t0, deadline, em, done);
       return;
     }
   }
@@ -282,6 +305,56 @@ obs::SpanRecord request_span(const Request& r, ServeClock::time_point enqueued,
 
 }  // namespace
 
+std::vector<BatchOutcome> Service::run_batch(
+    std::span<const Request> reqs,
+    std::span<const ServeClock::time_point> deadlines) {
+  try {
+    return batcher_.run(reqs, deadlines);
+  } catch (const std::exception& e) {
+    // The batcher's contract is to never throw; if something slips
+    // through anyway, answer the batch instead of killing the thread
+    // that ran it (for the worker, that would hang every future
+    // submission).
+    std::vector<BatchOutcome> outcomes(reqs.size());
+    for (auto& o : outcomes) o.error = std::string("internal: ") + e.what();
+    return outcomes;
+  }
+}
+
+std::string Service::respond(const Request& r, BatchOutcome& outcome) {
+  EndpointMetrics& em = metrics_.endpoint(r.op);
+  if (outcome.ok) {
+    em.ok.add();
+    return make_ok_response(r.id, std::move(outcome.result));
+  }
+  em.errors.add();
+  return make_error_response(r.id, outcome.error);
+}
+
+void Service::answer_inline(const Request& req, ServeClock::time_point t0,
+                            ServeClock::time_point deadline,
+                            EndpointMetrics& em,
+                            const ResponseCallback& done) {
+  em.requests.add();
+  em.inline_answers.add();
+  std::string resp;
+  {
+    // The queued path's batch of one, minus the hand-offs: the same
+    // cache pass, plan, kernel and tagged cache write, and never the pool.
+    exec::SerialScope serial;
+    auto outcomes = run_batch({&req, 1}, {&deadline, 1});
+    resp = respond(req, outcomes.front());
+  }
+  const auto t1 = ServeClock::now();
+  em.latency_us.record(us_between(t0, t1));
+  const auto took_ns =
+      std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count();
+  if (static_cast<double>(took_ns) > planner_.profile().par_dispatch_ns) {
+    em.inline_slow.add();  // mispredicted: the hand-off would have been cheaper
+  }
+  done(std::move(resp));
+}
+
 void Service::worker_loop() {
   obs::set_lane_name("serve-worker");
   while (true) {
@@ -324,32 +397,17 @@ void Service::worker_loop() {
     std::vector<ServeClock::time_point> deadlines;
     deadlines.reserve(live.size());
     for (const std::size_t i : live_idx) deadlines.push_back(batch[i].deadline);
-    std::vector<BatchOutcome> outcomes;
-    try {
-      outcomes = batcher_.run(reqs, deadlines);
-    } catch (const std::exception& e) {
-      // The batcher's contract is to never throw; if something slips
-      // through anyway, answer the batch instead of killing the one
-      // worker thread (which would hang every future submission).
-      outcomes.assign(reqs.size(), BatchOutcome{});
-      for (auto& o : outcomes) o.error = std::string("internal: ") + e.what();
-    }
+    std::vector<BatchOutcome> outcomes = run_batch(reqs, deadlines);
 
     std::vector<std::string> responses;
     responses.reserve(outcomes.size());
     for (std::size_t t = 0; t < outcomes.size(); ++t) {
       auto& slot = batch[live_idx[t]];
       const Request& r = slot.item.req;
-      EndpointMetrics& em = metrics_.endpoint(r.op);
-      if (outcomes[t].ok) {
-        em.ok.add();
-        responses.push_back(make_ok_response(r.id, outcomes[t].result));
-      } else {
-        em.errors.add();
-        responses.push_back(make_error_response(r.id, outcomes[t].error));
-      }
+      responses.push_back(respond(r, outcomes[t]));
       const auto done = ServeClock::now();
-      em.latency_us.record(us_between(slot.enqueued, done));
+      metrics_.endpoint(r.op).latency_us.record(
+          us_between(slot.enqueued, done));
       if (traced) req_spans.push_back(request_span(r, slot.enqueued, done));
     }
     // Spans land before callbacks resolve: a client that saw its answer

@@ -9,8 +9,11 @@
 //   submit(line) --parse--> control op?  handled synchronously (register
 //                            lines decode straight to cells, no DOM:
 //                            serve/codec.hpp)
-//                       \-> query op --> AdmissionQueue (bounded; full =>
-//                            immediate `overloaded` rejection)
+//                       \-> query op priced below one pool hand-off,
+//                            queue idle?  answered on the submitting
+//                            thread (see "Inline answers" below)
+//                       \-> other query op --> AdmissionQueue (bounded;
+//                            full => immediate `overloaded` rejection)
 //   worker thread:  pop_batch(batch_max) --> expired deadlines answered
 //                   `deadline_expired` --> Batcher coalesces the rest into
 //                   engine runs --> promises fulfilled
@@ -26,6 +29,14 @@
 // a deadline, submit() compares the plan's predicted latency against it
 // and answers `deadline_unmeetable` immediately -- the request never
 // enters the queue or the engine.
+//
+// Inline answers (oracular granularity at the front door): a cache miss
+// whose predicted time is below the profile's par_dispatch_ns runs
+// Batcher::run as a batch of one on the submitting thread, under an
+// exec::SerialScope, when the planner and fast path are on, tracing and
+// faults are off, the op is not explain and the admission queue is idle
+// (empty, not paused).  Metrics, the tagged cache write and the response
+// bytes are the queued path's.
 #pragma once
 
 #include <chrono>
@@ -34,6 +45,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
@@ -67,8 +79,9 @@ struct ServiceOptions {
   ResilienceOptions resilience;       // retry / timeout / breaker knobs
   // Zero-allocation cached-hit path (serve/codec.hpp): canonicalize the
   // line in place, probe the cache, splice the cached bytes into the
-  // response -- no DOM, no queue, no worker hand-off.  Off is the
-  // pre-codec behavior; responses are byte-identical either way (the
+  // response -- no DOM, no queue, no worker hand-off.  It also gates
+  // inline answers of cheap misses.  Off is "parse, queue, worker" for
+  // every query op; responses are byte-identical either way (the
   // test_codec golden run asserts it), so the toggle exists for A/B
   // benchmarking and bisection, not semantics.
   bool fast_path = true;
@@ -82,9 +95,10 @@ class Service {
   Service& operator=(const Service&) = delete;
 
   /// A response consumer.  Invoked exactly once per submitted line --
-  /// on the submitting thread for control ops and rejections, on the
-  /// worker thread for query ops.  Must be copyable (the service keeps
-  /// a copy across the admission hand-off) and must not throw.
+  /// on the submitting thread for control ops, rejections, cached hits
+  /// and inline answers, on the worker thread for queued query ops.
+  /// Must be copyable (the service keeps a copy across the admission
+  /// hand-off) and must not throw.
   using ResponseCallback = std::function<void(std::string)>;
 
   /// Submit one request line, callback form: the transport front-ends'
@@ -93,9 +107,10 @@ class Service {
   /// kept, so it may view a buffer the caller reuses.  Thread-safe.
   void submit_cb(std::string_view line, ResponseCallback done);
 
-  /// Submit one request line.  Control ops resolve before returning;
-  /// query ops resolve when the worker answers (immediately with
-  /// `overloaded` if the admission queue is full).  Thread-safe.
+  /// Submit one request line.  Control ops, cached hits and inline
+  /// answers resolve before returning; queued query ops resolve when the
+  /// worker answers (immediately with `overloaded` if the admission
+  /// queue is full).  Thread-safe.
   std::future<std::string> submit(std::string line);
 
   /// Synchronous single request.
@@ -114,7 +129,8 @@ class Service {
   std::vector<std::string> request_batch(const std::vector<std::string>& lines);
 
   /// Test/bench hook: hold the worker so submissions accumulate and pop
-  /// as one coalesced batch on resume().  Deadlines keep ticking.
+  /// as one coalesced batch on resume().  Deadlines keep ticking.  While
+  /// paused no miss is answered inline, so every query op queues.
   void pause();
   void resume();
 
@@ -136,6 +152,16 @@ class Service {
 
   bool serve_cached(std::string_view line, std::string& out,
                     std::string_view& op_seen);
+  /// batcher_.run that answers `internal` instead of throwing.
+  std::vector<BatchOutcome> run_batch(
+      std::span<const Request> reqs,
+      std::span<const ServeClock::time_point> deadlines);
+  /// One outcome's response line, counted ok or error under its op.
+  std::string respond(const Request& r, BatchOutcome& outcome);
+  /// Answer a priced-cheap miss on the calling thread (see submit_cb).
+  void answer_inline(const Request& req, ServeClock::time_point t0,
+                     ServeClock::time_point deadline, EndpointMetrics& em,
+                     const ResponseCallback& done);
   std::string handle_control(const Request& req);
   std::string handle_register(RegisterLine& reg);
   std::string add_array(std::int64_t id, ArrayEntry entry);

@@ -333,7 +333,9 @@ TEST_F(ObsTest, PrometheusExpositionParsesWithoutDuplicates) {
        {"pmonge_requests_total", "pmonge_request_latency_us",
         "pmonge_queue_depth", "pmonge_queue_high_water",
         "pmonge_exec_threads", "pmonge_exec_worker_busy_us_total",
-        "pmonge_trace_enabled", "pmonge_plans_total"}) {
+        "pmonge_trace_enabled", "pmonge_plans_total",
+        "pmonge_requests_inline_total",
+        "pmonge_requests_inline_slow_total"}) {
     EXPECT_NE(text.find(std::string("# TYPE ") + family + " "),
               std::string::npos)
         << "missing family " << family;

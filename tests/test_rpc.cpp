@@ -315,6 +315,7 @@ TEST(RpcServer, StatsSectionAndPrometheusExposition) {
   EXPECT_NE(prom.find("pmonge_rpc_connections_accepted_total"),
             std::string::npos);
   EXPECT_NE(prom.find("pmonge_rpc_lines_in_total"), std::string::npos);
+  EXPECT_NE(prom.find("pmonge_rpc_wake_signals_total"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
@@ -541,9 +542,10 @@ TEST(RpcServer, SlowReaderIsPausedWithBoundedMemoryThenRecovers) {
 }
 
 TEST(RpcServer, InflightValvePausesReadsButAnswersEverything) {
-  // Query ops (not control ops) so responses need a worker round trip:
-  // a pipelined burst must outrun the worker and trip the inflight
-  // valve at least once, yet every request still gets its answer.
+  // Query ops (not control ops) held in the queue by a paused worker, so
+  // their responses stay outstanding: the pipelined burst must trip the
+  // inflight valve, yet every request still gets its answer.  (Unpaused,
+  // these 16x16 misses are answered inline and never pend.)
   rpc::ServerOptions ropts;
   ropts.limits.max_inflight = 2;
   ropts.limits.overload_inflight = 512;
@@ -553,17 +555,63 @@ TEST(RpcServer, InflightValvePausesReadsButAnswersEverything) {
       c.request(
           R"({"op":"register_random","id":1,"rows":16,"cols":16,"seed":3})"),
       R"({"id":1,"ok":true,"result":{"array":0}})");
-  std::vector<std::string> reqs;
-  for (int i = 1; i <= 200; ++i) {
-    reqs.push_back(R"({"op":"rowmin","id":)" + std::to_string(i) +
-                   R"(,"array":0,"row":)" + std::to_string(i % 16) + "}");
+  ts.service.pause();
+  constexpr int kRequests = 200;
+  for (int i = 1; i <= kRequests; ++i) {
+    c.send_line(R"({"op":"rowmin","id":)" + std::to_string(i) +
+                R"(,"array":0,"row":)" + std::to_string(i % 16) + "}");
   }
-  const std::vector<std::string> resps = c.pipeline(reqs);
-  ASSERT_EQ(resps.size(), reqs.size());
+  const auto deadline = std::chrono::steady_clock::now() + 10s;
+  while (ts.server.stats().read_pauses.load() == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(1ms);
+  }
+  ts.service.resume();
+  std::vector<std::string> resps;
+  for (int i = 1; i <= kRequests; ++i) resps.push_back(c.recv_line());
   for (std::size_t i = 0; i < resps.size(); ++i) {
     EXPECT_NE(resps[i].find("\"ok\":true"), std::string::npos) << resps[i];
   }
   EXPECT_GE(ts.server.stats().read_pauses.load(), 1u);
+}
+
+TEST(RpcServer, AnswersGivenWhileReadingSendNoWakeSignal) {
+  // Control ops, cached hits and inline-answered misses all resolve
+  // inside the read that framed them; the pump that ends the read sends
+  // them, so none may cost an eventfd round trip.
+  TestServer ts;
+  rpc::Client c = ts.connect();
+  ASSERT_EQ(
+      c.request(
+          R"({"op":"register_random","id":1,"rows":16,"cols":16,"seed":3})"),
+      R"({"id":1,"ok":true,"result":{"array":0}})");
+  constexpr int kRounds = 16;
+  for (int i = 0; i < kRounds; ++i) {
+    EXPECT_EQ(c.request(kPing), kPong);
+    const std::string q = R"({"op":"rowmin","id":2,"array":0,"row":)" +
+                          std::to_string(i) + "}";
+    const std::string miss = c.request(q);
+    EXPECT_NE(miss.find("\"ok\":true"), std::string::npos) << miss;
+    EXPECT_EQ(c.request(q), miss);  // the cached hit
+  }
+  EXPECT_EQ(ts.server.stats().wake_signals.load(), 0u);
+  const serve::Json stats =
+      serve::Json::parse(ts.service.request(R"({"op":"stats"})"));
+  const serve::Json& rowmin = stats.at("result").at("endpoints").at("rowmin");
+  EXPECT_EQ(rowmin.at("inline").as_int(), kRounds);
+  EXPECT_EQ(rowmin.at("cache_hits").as_int(), kRounds);
+
+  // A response the worker gives is the one kind that must wake the loop.
+  ts.service.pause();
+  c.send_line(R"({"op":"rowmax","id":3,"array":0,"row":1})");
+  const auto deadline = std::chrono::steady_clock::now() + 10s;
+  while (ts.service.queue_depth() == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(1ms);
+  }
+  ts.service.resume();
+  EXPECT_NE(c.recv_line().find("\"id\":3,\"ok\":true"), std::string::npos);
+  EXPECT_EQ(ts.server.stats().wake_signals.load(), 1u);
 }
 
 // ---------------------------------------------------------------------------
