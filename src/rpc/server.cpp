@@ -73,13 +73,11 @@ struct Conn {
 /// Completion rendezvous between the service worker and the event loop.
 /// Owned jointly by the server and every outstanding callback, so a
 /// response that lands while the server is tearing down still has a live
-/// list, eventfd and stats block to write to (it is simply never
-/// drained).
+/// list and eventfd to write to (it is simply never drained).
 struct Wakeup {
   std::mutex mu;
   std::vector<std::shared_ptr<Conn>> ready;
   int efd = -1;
-  ServerStats stats;  // the server's counters, here for that reason
 
   Wakeup() { efd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC); }
   ~Wakeup() {
@@ -114,7 +112,6 @@ struct Completion {
         std::lock_guard<std::mutex> lock(wake->mu);
         wake->ready.push_back(conn);
       }
-      wake->stats.wake_signals.fetch_add(1, std::memory_order_relaxed);
       wake->signal();
     }
   }
@@ -125,8 +122,8 @@ struct Completion {
 struct Server::Impl {
   serve::Service& service;
   ServerOptions opts;
+  ServerStats stats;
   std::shared_ptr<Wakeup> wakeup = std::make_shared<Wakeup>();
-  ServerStats& stats = wakeup->stats;
 
   int ep = -1;
   int lfd = -1;
@@ -134,6 +131,7 @@ struct Server::Impl {
   std::unordered_map<int, std::shared_ptr<Conn>> conns;
   std::atomic<bool> stop_requested{false};
   bool draining = false;
+  bool contended = false;  // this round, more than one connection to read
   Clock::time_point drain_deadline{};
 
   Impl(serve::Service& s, ServerOptions o) : service(s), opts(std::move(o)) {}
@@ -244,13 +242,28 @@ struct Server::Impl {
         if (errno == EINTR) continue;
         break;
       }
+      // More than one connection waiting on this thread: the loop is
+      // busy, so it answers nothing inline this round (handle_readable).
+      int readable = 0;
+      for (int i = 0; i < n; ++i) {
+        const int fd = events[i].data.fd;
+        if (fd != wakeup->efd && fd != lfd &&
+            (events[i].events & EPOLLIN) != 0) {
+          ++readable;
+        }
+      }
+      contended = readable > 1;
       bool accept_ready = false;
       for (int i = 0; i < n; ++i) {
         const int fd = events[i].data.fd;
         if (fd == wakeup->efd) {
-          std::uint64_t drainv = 0;
-          [[maybe_unused]] const auto r =
-              ::read(wakeup->efd, &drainv, sizeof(drainv));
+          // The eventfd's counter is the number of signals since the
+          // last read.
+          std::uint64_t signals = 0;
+          if (::read(wakeup->efd, &signals, sizeof(signals)) ==
+              static_cast<ssize_t>(sizeof(signals))) {
+            stats.wake_signals.fetch_add(signals, std::memory_order_relaxed);
+          }
           process_completions();
         } else if (fd == lfd) {
           // Accept after every close in this batch has been processed, so
@@ -372,6 +385,10 @@ struct Server::Impl {
       explicit Reading(const Conn* c) { t_reading = c; }
       ~Reading() { t_reading = nullptr; }
     } reading(conn.get());
+    // This read's lines share one allowance of inline work, and get none
+    // while other connections wait on the loop.
+    serve::InlineBudget budget;
+    budget.open = !contended;
     std::string_view line;
     while (true) {
       const LineFramer::Result r = conn->framer.next(line);
@@ -414,7 +431,8 @@ struct Server::Impl {
       }
       auto slot = std::make_shared<Slot>();
       conn->pending.push_back(slot);
-      service.submit_cb(line, Completion{wakeup, conn, std::move(slot)});
+      service.submit_cb(line, Completion{wakeup, conn, std::move(slot)},
+                        &budget);
     }
     pump(conn);
   }

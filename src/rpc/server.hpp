@@ -9,7 +9,9 @@
 // responses on its own thread and wakes the loop through an eventfd.
 // Responses the service gives while the loop is still submitting their
 // line (control ops, cached hits, inline answers) skip the eventfd: the
-// pump that ends the read drains them.
+// pump that ends the read drains them.  The lines of one read share one
+// serve::InlineBudget, closed in a round where more than one connection
+// has input, so a busy loop hands every miss to the worker.
 // Everything per-connection (read buffer, pending-response window,
 // outbound buffer) is touched only by the loop thread; the completion
 // path touches one atomic per response plus the wakeup queue.
@@ -77,9 +79,10 @@ struct ServerStats {
   std::atomic<std::uint64_t> bytes_in{0};
   std::atomic<std::uint64_t> bytes_out{0};
   std::atomic<std::uint64_t> read_pauses{0};      // backpressure engagements
-  // eventfd writes that woke the loop for responses the worker gave.
-  // Answers given while their line is being read -- control ops, cached
-  // hits, inline answers -- send none.
+  // eventfd signals the loop read: one per worker answer whose
+  // connection was not already waiting to be pumped.  Answers given
+  // while their line is being read -- control ops, cached hits, inline
+  // answers -- send none.
   std::atomic<std::uint64_t> wake_signals{0};
   std::atomic<std::uint64_t> active_conns{0};     // gauge
   std::atomic<std::uint64_t> conn_high_water{0};  // peak concurrent conns

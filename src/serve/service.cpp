@@ -113,7 +113,8 @@ bool Service::serve_cached(std::string_view line, std::string& out,
   return true;
 }
 
-void Service::submit_cb(std::string_view line, ResponseCallback done) {
+void Service::submit_cb(std::string_view line, ResponseCallback done,
+                        InlineBudget* budget) {
   std::string_view op_seen;  // the top-level op the fast path read, if any
   {
     // Cached-hit fast path: answered inline on the submitting thread,
@@ -189,10 +190,16 @@ void Service::submit_cb(std::string_view line, ResponseCallback done) {
 
   EndpointMetrics& em = metrics_.endpoint(req.op);
 
-  // Inline answers need the same quiet state as the cached-hit path:
-  // both tracing and fault injection hook the queued path's stages.
-  const bool may_inline =
-      opts_.fast_path && !obs::enabled() && !fault::armed();
+  // Inline answers need the same quiet state as the cached-hit path
+  // (tracing and fault injection hook the queued path's stages), an open
+  // budget, and an idle queue: nothing admitted before may be overtaken,
+  // and pause() holds every query.
+  InlineBudget own;
+  InlineBudget& allowance = budget != nullptr ? *budget : own;
+  const bool may_inline = opts_.fast_path && !obs::enabled() &&
+                          !fault::armed() && allowance.open &&
+                          planner_.enabled() && req.op != "explain" &&
+                          queue_->idle();
   // The plan's price serves deadline admission and the inline rule, so
   // it is read once, and only when one of them will use it.  explain is
   // exempt from both (it exists to report the plan).
@@ -217,15 +224,17 @@ void Service::submit_cb(std::string_view line, ResponseCallback done) {
       return;
     }
   }
-  // Oracular granularity at the front door: a miss the profile prices
-  // below one pool hand-off is answered here, on the submitting thread.
-  // Only when nothing is queued ahead of it (and the queue is not
-  // paused), so admission order holds, and only before its deadline,
-  // which the worker would otherwise answer `deadline_expired`.
+  // Oracular granularity at the front door: misses the profile prices,
+  // together with the budget's earlier inline answers, below one pool
+  // hand-off are answered here, on the submitting thread.  Only before
+  // the deadline, which the worker would otherwise answer
+  // `deadline_expired`.
   if (priced && may_inline &&
-      predicted_us * 1000.0 < planner_.profile().par_dispatch_ns) {
+      allowance.spent_ns + predicted_us * 1000.0 <
+          planner_.profile().par_dispatch_ns) {
     const auto t0 = ServeClock::now();
-    if (t0 < deadline && queue_->idle()) {
+    if (t0 < deadline) {
+      allowance.spent_ns += predicted_us * 1000.0;
       answer_inline(req, t0, deadline, em, done);
       return;
     }

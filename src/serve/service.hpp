@@ -31,12 +31,13 @@
 // enters the queue or the engine.
 //
 // Inline answers (oracular granularity at the front door): a cache miss
-// whose predicted time is below the profile's par_dispatch_ns runs
-// Batcher::run as a batch of one on the submitting thread, under an
-// exec::SerialScope, when the planner and fast path are on, tracing and
-// faults are off, the op is not explain and the admission queue is idle
-// (empty, not paused).  Metrics, the tagged cache write and the response
-// bytes are the queued path's.
+// whose predicted time fits the submitter's InlineBudget -- one pool
+// hand-off (the profile's par_dispatch_ns) shared by the lines it submits
+// together -- runs Batcher::run as a batch of one on the submitting
+// thread, under an exec::SerialScope, when the planner and fast path are
+// on, tracing and faults are off, the op is not explain and the admission
+// queue is idle (empty, not paused).  Metrics, the tagged cache write and
+// the response bytes are the queued path's.
 #pragma once
 
 #include <chrono>
@@ -87,6 +88,15 @@ struct ServiceOptions {
   bool fast_path = true;
 };
 
+/// A submitter's allowance of inline work over the lines it submits in
+/// one go (the rpc loop: one read).  Together they may run inline what
+/// the profile prices below one pool hand-off, since queued they would
+/// share one; a closed budget answers nothing inline.
+struct InlineBudget {
+  bool open = true;
+  double spent_ns = 0;  // predicted time of the inline answers so far
+};
+
 class Service {
  public:
   explicit Service(ServiceOptions opts = {});
@@ -104,8 +114,11 @@ class Service {
   /// Submit one request line, callback form: the transport front-ends'
   /// entry point (the TCP server enqueues the response into the owning
   /// connection from here).  The line is read during the call and not
-  /// kept, so it may view a buffer the caller reuses.  Thread-safe.
-  void submit_cb(std::string_view line, ResponseCallback done);
+  /// kept, so it may view a buffer the caller reuses.  `budget`, when
+  /// given, is shared with the caller's other lines of the same go;
+  /// without one the line gets a budget of its own.  Thread-safe.
+  void submit_cb(std::string_view line, ResponseCallback done,
+                 InlineBudget* budget = nullptr);
 
   /// Submit one request line.  Control ops, cached hits and inline
   /// answers resolve before returning; queued query ops resolve when the

@@ -2,10 +2,11 @@
 // hand-off (CostProfile::par_dispatch_ns) is answered on the submitting
 // thread instead of the admission queue (serve/service.hpp).
 //
-//   * routing: which misses are answered before submit_cb returns, and
-//     every state that must keep them queued (paused queue, tracing,
-//     armed faults, fast_path=false, planner off, a request queued
-//     ahead), and deadline admission still coming first;
+//   * routing: which misses are answered before submit_cb returns, how
+//     lines submitted together share one hand-off's worth (InlineBudget),
+//     and every state that must keep them queued (closed budget, paused
+//     queue, tracing, armed faults, fast_path=false, planner off, a
+//     request queued ahead), and deadline admission still coming first;
 //   * differential: a seeded register/query/unregister stream answers
 //     byte for byte the same inline (untraced) and queued (traced);
 //   * concurrency: submitting threads answer inline while the worker runs
@@ -45,12 +46,16 @@ struct Observed {
   bool answered_before_return = false;
 };
 
-void submit_observed(Service& svc, const std::string& line, Observed& o) {
-  svc.submit_cb(line, [&o](std::string r) {
-    o.thread = std::this_thread::get_id();
-    o.answered.store(true);
-    o.resp.set_value(std::move(r));
-  });
+void submit_observed(Service& svc, const std::string& line, Observed& o,
+                     InlineBudget* budget = nullptr) {
+  svc.submit_cb(
+      line,
+      [&o](std::string r) {
+        o.thread = std::this_thread::get_id();
+        o.answered.store(true);
+        o.resp.set_value(std::move(r));
+      },
+      budget);
   o.answered_before_return = o.answered.load();
 }
 
@@ -137,6 +142,56 @@ TEST(InlineAnswers, OnlyMissesPricedBelowTheHandOffRunInline) {
   EXPECT_NE(dear.thread, std::this_thread::get_id());
   EXPECT_EQ(endpoint_count(svc, "submatrix_min", "inline"), 0);
   EXPECT_EQ(endpoint_count(svc, "rowmin", "inline"), 1);
+}
+
+TEST(InlineAnswers, LinesSubmittedTogetherShareOneHandOff) {
+  ServiceOptions opts;
+  opts.profile = two_us_dispatch();
+  Service svc(opts);
+  ASSERT_NE(svc.request(reg_random(256, 256, 5)).find("\"ok\":true"),
+            std::string::npos);
+  const plan::Planner planner(opts.profile, true, 1);
+  const double row_ns =
+      planner.predicted_us({plan::OpClass::RowSearch, 256, 256, 1}) * 1000.0;
+  // As many row searches as fit under one hand-off together.
+  int fit = 0;
+  while ((fit + 1) * row_ns < opts.profile.par_dispatch_ns) ++fit;
+  ASSERT_GE(fit, 2);
+
+  constexpr int kLines = 8;
+  ASSERT_GT(kLines, fit);
+  InlineBudget budget;
+  std::vector<Observed> obs(kLines);
+  for (int i = 0; i < kLines; ++i) {
+    submit_observed(svc,
+                    R"({"op":"rowmin","id":)" + std::to_string(i) +
+                        R"(,"array":0,"row":)" + std::to_string(i) + "}",
+                    obs[static_cast<std::size_t>(i)], &budget);
+  }
+  for (int i = 0; i < kLines; ++i) {
+    Observed& o = obs[static_cast<std::size_t>(i)];
+    EXPECT_EQ(o.answered_before_return, i < fit) << "line " << i;
+    EXPECT_NE(o.fut.get().find("\"ok\":true"), std::string::npos);
+  }
+  EXPECT_EQ(endpoint_count(svc, "rowmin", "inline"), fit);
+
+  // Without a shared budget each line gets a hand-off of its own.
+  Observed alone;
+  submit_observed(svc, R"({"op":"rowmin","id":9,"array":0,"row":9})", alone);
+  EXPECT_TRUE(alone.answered_before_return);
+}
+
+TEST(InlineAnswers, ClosedBudgetAnswersNothingInline) {
+  Service svc;
+  ASSERT_NE(svc.request(reg_random(16, 16, 3)).find("\"ok\":true"),
+            std::string::npos);
+  InlineBudget closed;
+  closed.open = false;
+  Observed o;
+  submit_observed(svc, kRow, o, &closed);
+  EXPECT_NE(o.fut.get().find(R"({"id":7,"ok":true)"), std::string::npos);
+  EXPECT_NE(o.thread, std::this_thread::get_id());
+  EXPECT_EQ(endpoint_count(svc, "rowmin", "inline"), 0);
 }
 
 /// Every state that must keep a cheap miss on the queued path.

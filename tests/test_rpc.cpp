@@ -614,6 +614,40 @@ TEST(RpcServer, AnswersGivenWhileReadingSendNoWakeSignal) {
   EXPECT_EQ(ts.server.stats().wake_signals.load(), 1u);
 }
 
+TEST(RpcServer, NoInlineAnswersWhileAnotherConnectionWaits) {
+  // Both queries are on their sockets before the loop starts, so the
+  // loop's first read round holds two connections: a busy loop hands
+  // every miss to the worker.  Alone, the same miss is answered inline.
+  serve::Service service;
+  rpc::Server server(service, TestServer::loopback({}));
+  server.listen();
+  ASSERT_EQ(
+      service.request(
+          R"({"op":"register_random","id":1,"rows":16,"cols":16,"seed":3})"),
+      R"({"id":1,"ok":true,"result":{"array":0}})");
+  rpc::Client a("127.0.0.1", server.port());
+  rpc::Client b("127.0.0.1", server.port());
+  a.send_line(R"({"op":"rowmin","id":2,"array":0,"row":1})");
+  b.send_line(R"({"op":"rowmin","id":3,"array":0,"row":2})");
+  std::thread loop([&] { server.run(); });
+  EXPECT_NE(a.recv_line().find("\"id\":2,\"ok\":true"), std::string::npos);
+  EXPECT_NE(b.recv_line().find("\"id\":3,\"ok\":true"), std::string::npos);
+  const auto inline_rowmin = [&] {
+    const serve::Json stats =
+        serve::Json::parse(service.request(R"({"op":"stats"})"));
+    return stats.at("result").at("endpoints").at("rowmin").at("inline")
+        .as_int();
+  };
+  EXPECT_EQ(inline_rowmin(), 0);
+
+  EXPECT_NE(a.request(R"({"op":"rowmin","id":4,"array":0,"row":3})")
+                .find("\"id\":4,\"ok\":true"),
+            std::string::npos);
+  EXPECT_EQ(inline_rowmin(), 1);
+  server.request_stop();
+  loop.join();
+}
+
 // ---------------------------------------------------------------------------
 // Graceful drain under load
 // ---------------------------------------------------------------------------
