@@ -437,15 +437,17 @@ std::string prometheus_text(const Json& stats) {
            {"overload_rejected", "pmonge_rpc_overload_rejected_total",
             "Framed lines rejected `overloaded` past the inflight valve",
             "counter"},
-           {"bytes_in", "pmonge_rpc_bytes_in_total", "Bytes read from sockets",
-            "counter"},
+           {"bytes_in", "pmonge_rpc_bytes_in_total",
+            "Bytes read from connections", "counter"},
            {"bytes_out", "pmonge_rpc_bytes_out_total",
-            "Bytes written to sockets", "counter"},
+            "Bytes written to connections", "counter"},
            {"read_pauses", "pmonge_rpc_read_pauses_total",
             "Backpressure engagements (reads paused)", "counter"},
            {"wake_signals", "pmonge_rpc_wake_signals_total",
             "Event-loop wake-ups signalled by off-loop completions",
             "counter"},
+           {"write_failures", "pmonge_rpc_write_failures_total",
+            "Connections closed by a failed write (reader gone)", "counter"},
            {"outbound_high_water_bytes", "pmonge_rpc_outbound_high_water_bytes",
             "Peak per-connection outbound buffer bytes", "gauge"}});
 

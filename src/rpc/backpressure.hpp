@@ -1,5 +1,6 @@
-// The transport backpressure contract, shared by both front-ends of the
-// serve layer (docs/networking.md spells it out in full):
+// The transport backpressure contract (docs/networking.md spells it out
+// in full), kept per connection by rpc::Server for every connection it
+// serves -- TCP sockets and pmonge-serve's stdin/stdout pair alike:
 //
 //   A request source may have at most `max_inflight` requests submitted
 //   whose responses have not yet been written back.  When a source hits
@@ -7,11 +8,7 @@
 //   the socket's receive window fills, pushing the pressure onto the
 //   client -- instead of buffering unbounded futures or responses.
 //
-// The stdin front-end enforces it with the InflightLimiter below (the
-// reader thread blocks in acquire() until the printer catches up); the
-// TCP server enforces the same bound per connection by deregistering the
-// socket from epoll, plus two byte-level valves on the outbound buffer a
-// pipe does not need:
+// Three more valves guard the outbound side:
 //
 //   * soft_buffer_bytes: a slow reader whose responses pile up past this
 //     stops being read (same pressure, different trigger);
@@ -23,58 +20,21 @@
 //     so slow (or dead) that even the stopped-read buffer keeps growing
 //     past this is dropped.  In-flight responses can still land after
 //     reads stop, so soft alone cannot bound memory; hard does.
+//
+// A stdin/stdout pair writes with blocking write(2), so its outbound
+// buffer empties on every flush: only max_inflight and overload_inflight
+// act there.
 #pragma once
 
-#include <condition_variable>
 #include <cstddef>
-#include <mutex>
 
 namespace pmonge::rpc {
 
 struct BackpressureLimits {
-  std::size_t max_inflight = 128;          // stop reading above this
+  std::size_t max_inflight = 128;          // stop reading at this; >= 1
   std::size_t overload_inflight = 256;     // reject framed lines above this
   std::size_t soft_buffer_bytes = 1u << 20;   // stop reading above this
   std::size_t hard_buffer_bytes = 8u << 20;   // drop the connection above this
-};
-
-/// Counting semaphore capping submitted-but-unprinted requests.  The
-/// stdin reader acquires before submitting; the printer releases after
-/// each response is written.  Capacity 0 means "unbounded" (no valve).
-class InflightLimiter {
- public:
-  explicit InflightLimiter(std::size_t capacity) : capacity_(capacity) {}
-
-  /// Block until a slot is free, then take it.
-  void acquire() {
-    if (capacity_ == 0) return;
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [&] { return inflight_ < capacity_; });
-    ++inflight_;
-  }
-
-  void release() {
-    if (capacity_ == 0) return;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (inflight_ > 0) --inflight_;
-    }
-    cv_.notify_one();
-  }
-
-  std::size_t capacity() const { return capacity_; }
-
-  std::size_t inflight() const {
-    if (capacity_ == 0) return 0;
-    std::lock_guard<std::mutex> lock(mu_);
-    return inflight_;
-  }
-
- private:
-  const std::size_t capacity_;
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  std::size_t inflight_ = 0;
 };
 
 }  // namespace pmonge::rpc

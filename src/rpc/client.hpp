@@ -3,15 +3,15 @@
 // lines.  Supports pipelining -- send_line() does not wait, recv_line()
 // returns responses in the order the requests were sent (the server
 // writes per-connection responses in submission order) -- which is what
-// the load generator's open-loop mode and the examples build on.
+// the open-loop load test and the examples build on.
 //
 // Errors are exceptions (RpcError): a refused connect, a peer that
 // closed mid-stream, a write into a vanished server.  All writes use
 // MSG_NOSIGNAL, so a dead peer raises RpcError instead of SIGPIPE.
 // The class is NOT thread-safe for concurrent use of the same instance,
 // with one deliberate exception: one thread may send while another
-// receives (the loadgen's open-loop split), because the send and receive
-// paths touch disjoint state.
+// receives (an open-loop sender/receiver split), because the send and
+// receive paths touch disjoint state.
 #pragma once
 
 #include <cstdint>

@@ -1,9 +1,10 @@
 // Incremental newline-delimited framing for the NDJSON wire protocol
-// over a byte stream (TCP).  A socket read can deliver half a line, one
-// line, or twenty coalesced lines; the framer turns that arbitrary
-// chunking back into the exact lines the stdin front-end would have seen
-// from getline -- the transport must never change which bytes form a
-// request (docs/networking.md states the framing contract).
+// over a byte stream (a socket, a pipe, a file).  A read can deliver half
+// a line, one line, or twenty coalesced lines; the framer turns that
+// arbitrary chunking back into the exact lines getline would have seen,
+// an unterminated last line included (finish()) -- the transport must
+// never change which bytes form a request (docs/networking.md states the
+// framing contract).
 //
 // Oversized lines are a protocol violation, not a fatal one: the framer
 // reports the line once (Result::Oversized), discards its bytes without
@@ -11,7 +12,7 @@
 // the next newline -- a client that sends one absurd line gets one error
 // response and keeps its connection.  A trailing '\r' is stripped
 // (telnet/CRLF tolerance); empty lines are surfaced and skipped by the
-// caller, matching the stdin loop.
+// caller.
 #pragma once
 
 #include <algorithm>
@@ -117,6 +118,18 @@ class LineFramer {
     const Result r = next(line);
     if (r == Result::Line) out.assign(line);
     return r;
+  }
+
+  /// At end of stream, after next() has run dry: the unterminated last
+  /// line, if any of it is buffered (a trailing '\r' stripped, as next()
+  /// does).  `out` views the buffer like next()'s lines.
+  bool finish(std::string_view& out) {
+    if (buffered() == 0) return false;
+    std::size_t len = size_ - head_;
+    if (buf_[size_ - 1] == '\r') --len;
+    out = std::string_view(buf_.get() + head_, len);
+    head_ = scan_ = size_;
+    return true;
   }
 
   /// Bytes buffered awaiting a newline.

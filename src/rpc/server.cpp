@@ -3,6 +3,7 @@
 #include <netdb.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
@@ -40,15 +41,18 @@ void bump_max(std::atomic<std::uint64_t>& hw, std::uint64_t v) {
 /// One submitted request's response slot.  The service worker fills
 /// `resp` then publishes with the release store; the loop thread only
 /// reads `resp` after the acquire load sees true.  Responses for one
-/// connection are written strictly in pending order, which is what makes
-/// the TCP bytes match stdin mode's FIFO awaiting.
+/// connection are written strictly in pending order, which keeps each
+/// connection's responses in request order.
 struct Slot {
   std::string resp;
   std::atomic<bool> ready{false};
 };
 
 struct Conn {
-  int fd = -1;
+  int fd = -1;       // the socket, or the input fd of an attached pair
+  int out_fd = -1;   // where responses go: `fd` itself for a socket
+  bool socket = true;  // false: an attached pair, written with write(2)
+  bool polled = true;  // false: epoll refused `fd`, which is always ready
   LineFramer framer;
   std::deque<std::shared_ptr<Slot>> pending;  // loop thread only
   std::string outbound;                       // loop thread only
@@ -62,10 +66,9 @@ struct Conn {
   explicit Conn(std::size_t max_line) : framer(max_line) {}
   ~Conn() { close_fd(); }
   void close_fd() {
-    if (fd >= 0) {
-      ::close(fd);
-      fd = -1;
-    }
+    if (out_fd >= 0 && out_fd != fd) ::close(out_fd);
+    if (fd >= 0) ::close(fd);
+    fd = out_fd = -1;
   }
   std::size_t outbound_len() const { return outbound.size() - out_off; }
 };
@@ -129,6 +132,7 @@ struct Server::Impl {
   int lfd = -1;
   std::uint16_t bound_port = 0;
   std::unordered_map<int, std::shared_ptr<Conn>> conns;
+  std::vector<std::shared_ptr<Conn>> unpolled;  // conns with !polled
   std::atomic<bool> stop_requested{false};
   bool draining = false;
   bool contended = false;  // this round, more than one connection to read
@@ -144,11 +148,16 @@ struct Server::Impl {
 
   // -- setup ---------------------------------------------------------------
 
-  void listen() {
+  void open_epoll() {
+    if (ep >= 0) return;
     if (wakeup->efd < 0) throw std::runtime_error("rpc: eventfd failed");
     ep = ::epoll_create1(EPOLL_CLOEXEC);
     if (ep < 0) throw std::runtime_error("rpc: epoll_create1 failed");
+    add_epoll(wakeup->efd, EPOLLIN);
+  }
 
+  void listen() {
+    open_epoll();
     addrinfo hints{};
     hints.ai_family = AF_UNSPEC;
     hints.ai_socktype = SOCK_STREAM;
@@ -197,14 +206,36 @@ struct Server::Impl {
     }
     lfd = fd;
     add_epoll(lfd, EPOLLIN);
-    add_epoll(wakeup->efd, EPOLLIN);
   }
 
-  void add_epoll(int fd, std::uint32_t events) {
+  void attach(int in_fd, int out_fd) {
+    open_epoll();
+    auto conn = std::make_shared<Conn>(opts.max_line_bytes);
+    conn->fd = in_fd;
+    conn->out_fd = out_fd;
+    conn->socket = false;
+    add_conn(conn);
+    // Regular files and /dev/null cannot be polled (EPERM); they never
+    // block a read, so the loop treats them as always ready.
+    conn->polled = add_epoll(in_fd, conn->mask);
+    if (!conn->polled) unpolled.push_back(conn);
+  }
+
+  bool add_epoll(int fd, std::uint32_t events) {
     epoll_event ev{};
     ev.events = events;
     ev.data.fd = fd;
-    ::epoll_ctl(ep, EPOLL_CTL_ADD, fd, &ev);
+    return ::epoll_ctl(ep, EPOLL_CTL_ADD, fd, &ev) == 0;
+  }
+
+  void add_conn(const std::shared_ptr<Conn>& conn) {
+    conn->last_active = Clock::now();
+    conn->mask = EPOLLIN;
+    conns.emplace(conn->fd, conn);
+    stats.accepted.fetch_add(1, std::memory_order_relaxed);
+    const auto active = conns.size();
+    stats.active_conns.store(active, std::memory_order_relaxed);
+    bump_max(stats.conn_high_water, active);
   }
 
   // -- event loop ----------------------------------------------------------
@@ -215,8 +246,8 @@ struct Server::Impl {
       if (stop_requested.load(std::memory_order_acquire) && !draining) {
         begin_drain();
       }
+      if (lfd < 0 && conns.empty()) break;
       if (draining) {
-        if (conns.empty()) break;
         if (Clock::now() >= drain_deadline) {
           // The drain budget is spent; whatever is still stuck (a client
           // that will not read its responses) is cut loose.
@@ -227,7 +258,12 @@ struct Server::Impl {
           break;
         }
       }
-      int timeout_ms = 200;
+      // An unpollable input never waits in epoll: poll the others and
+      // read it this round.
+      const bool unpolled_ready =
+          std::any_of(unpolled.begin(), unpolled.end(),
+                      [](const auto& c) { return (c->mask & EPOLLIN) != 0; });
+      int timeout_ms = unpolled_ready ? 0 : 200;
       if (draining) {
         const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
             drain_deadline - Clock::now());
@@ -244,7 +280,7 @@ struct Server::Impl {
       }
       // More than one connection waiting on this thread: the loop is
       // busy, so it answers nothing inline this round (handle_readable).
-      int readable = 0;
+      int readable = unpolled_ready ? 1 : 0;
       for (int i = 0; i < n; ++i) {
         const int fd = events[i].data.fd;
         if (fd != wakeup->efd && fd != lfd &&
@@ -275,6 +311,12 @@ struct Server::Impl {
           if (it == conns.end()) continue;  // closed earlier in this batch
           std::shared_ptr<Conn> conn = it->second;
           const std::uint32_t ev = events[i].events;
+          if (!conn->socket) {
+            // An attached input is in the set only while it may be read,
+            // and a hang-up there is the writer's EOF, which read() sees.
+            if ((conn->mask & EPOLLIN) != 0) handle_readable(conn);
+            continue;
+          }
           if ((ev & (EPOLLERR | EPOLLHUP)) != 0 &&
               (ev & (EPOLLIN | EPOLLOUT)) == 0) {
             close_conn(*conn, stats.closed);
@@ -282,6 +324,12 @@ struct Server::Impl {
           }
           if ((ev & EPOLLOUT) != 0) pump(conn);
           if ((ev & EPOLLIN) != 0 && conn->fd >= 0) handle_readable(conn);
+        }
+      }
+      if (unpolled_ready) {
+        const std::vector<std::shared_ptr<Conn>> ready = unpolled;
+        for (const auto& c : ready) {
+          if (c->fd >= 0 && (c->mask & EPOLLIN) != 0) handle_readable(c);
         }
       }
       if (accept_ready && !draining) accept_loop();
@@ -327,14 +375,8 @@ struct Server::Impl {
       const int one = 1;
       ::setsockopt(cfd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
       auto conn = std::make_shared<Conn>(opts.max_line_bytes);
-      conn->fd = cfd;
-      conn->last_active = Clock::now();
-      conns.emplace(cfd, conn);
-      stats.accepted.fetch_add(1, std::memory_order_relaxed);
-      const auto active = conns.size();
-      stats.active_conns.store(active, std::memory_order_relaxed);
-      bump_max(stats.conn_high_water, active);
-      conn->mask = EPOLLIN;
+      conn->fd = conn->out_fd = cfd;
+      add_conn(conn);
       add_epoll(cfd, conn->mask);
     }
   }
@@ -364,22 +406,22 @@ struct Server::Impl {
     // Straight into the framer's buffer: the request lines handed out
     // below view it, so a register line is never copied on its way in.
     constexpr std::size_t kReadChunk = 65536;
-    const ssize_t k =
-        ::recv(conn->fd, conn->framer.prepare(kReadChunk), kReadChunk, 0);
-    if (k == 0) {
-      conn->peer_eof = true;
-      pump(conn);
-      return;
-    }
+    char* const into = conn->framer.prepare(kReadChunk);
+    const ssize_t k = conn->socket ? ::recv(conn->fd, into, kReadChunk, 0)
+                                   : ::read(conn->fd, into, kReadChunk);
     if (k < 0) {
       if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) return;
       close_conn(*conn, stats.closed);
       return;
     }
-    stats.bytes_in.fetch_add(static_cast<std::uint64_t>(k),
-                             std::memory_order_relaxed);
-    conn->last_active = Clock::now();
-    conn->framer.commit(static_cast<std::size_t>(k));
+    if (k == 0) {
+      conn->peer_eof = true;  // an unterminated last line is framed below
+    } else {
+      stats.bytes_in.fetch_add(static_cast<std::uint64_t>(k),
+                               std::memory_order_relaxed);
+      conn->last_active = Clock::now();
+      conn->framer.commit(static_cast<std::size_t>(k));
+    }
 
     struct Reading {
       explicit Reading(const Conn* c) { t_reading = c; }
@@ -392,7 +434,10 @@ struct Server::Impl {
     std::string_view line;
     while (true) {
       const LineFramer::Result r = conn->framer.next(line);
-      if (r == LineFramer::Result::NeedMore) break;
+      if (r == LineFramer::Result::NeedMore &&
+          !(conn->peer_eof && conn->framer.finish(line))) {
+        break;
+      }
       if (r == LineFramer::Result::Oversized) {
         stats.oversized_lines.fetch_add(1, std::memory_order_relaxed);
         local_response(
@@ -402,7 +447,7 @@ struct Server::Impl {
                           std::to_string(opts.max_line_bytes) + " bytes"));
         continue;
       }
-      if (line.empty()) continue;  // stdin mode skips blank lines too
+      if (line.empty()) continue;
       stats.lines_in.fetch_add(1, std::memory_order_relaxed);
       if (conn->pending.size() >= opts.limits.overload_inflight) {
         // Reads are already paused past max_inflight, but one recv can
@@ -488,8 +533,11 @@ struct Server::Impl {
       return false;
     }
     while (conn->outbound_len() > 0) {
-      const ssize_t k = ::send(conn->fd, conn->outbound.data() + conn->out_off,
-                               conn->outbound_len(), MSG_NOSIGNAL);
+      const char* const data = conn->outbound.data() + conn->out_off;
+      const ssize_t k =
+          conn->socket
+              ? ::send(conn->fd, data, conn->outbound_len(), MSG_NOSIGNAL)
+              : ::write(conn->out_fd, data, conn->outbound_len());
       if (k > 0) {
         stats.bytes_out.fetch_add(static_cast<std::uint64_t>(k),
                                   std::memory_order_relaxed);
@@ -497,9 +545,18 @@ struct Server::Impl {
         conn->last_active = Clock::now();
         continue;
       }
-      if (k < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
+      if (k < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+        if (conn->socket) break;
+        // An attached output blocks, even one inherited non-blocking:
+        // with nothing else to serve, waiting is the backpressure.
+        pollfd p{conn->out_fd, POLLOUT, 0};
+        ::poll(&p, 1, -1);
+        continue;
+      }
       if (k < 0 && errno == EINTR) continue;
-      close_conn(*conn, stats.closed);  // EPIPE/ECONNRESET: peer is gone
+      // EPIPE/ECONNRESET: the reader is gone.
+      stats.write_failures.fetch_add(1, std::memory_order_relaxed);
+      close_conn(*conn, stats.closed);
       return false;
     }
     if (conn->out_off == conn->outbound.size()) {
@@ -522,19 +579,30 @@ struct Server::Impl {
     conn->paused = want_pause;
     std::uint32_t mask = 0;
     if (!conn->paused && !conn->peer_eof && !draining) mask |= EPOLLIN;
-    if (conn->outbound_len() > 0) mask |= EPOLLOUT;
-    if (mask != conn->mask) {
+    if (conn->outbound_len() > 0 && conn->socket) mask |= EPOLLOUT;
+    if (mask == conn->mask) return;
+    if (conn->socket) {
       epoll_event ev{};
       ev.events = mask;
       ev.data.fd = conn->fd;
       ::epoll_ctl(ep, EPOLL_CTL_MOD, conn->fd, &ev);
-      conn->mask = mask;
+    } else if (conn->polled) {
+      // Out of the set while not read: a pipe whose writer has gone
+      // reports EPOLLHUP whatever the mask, which would spin the loop
+      // while a paused pair waits for its answers.
+      if (mask == 0) {
+        ::epoll_ctl(ep, EPOLL_CTL_DEL, conn->fd, nullptr);
+      } else {
+        add_epoll(conn->fd, mask);
+      }
     }
+    conn->mask = mask;
   }
 
   void close_conn(Conn& conn, std::atomic<std::uint64_t>& counter) {
     if (conn.fd < 0) return;
-    ::epoll_ctl(ep, EPOLL_CTL_DEL, conn.fd, nullptr);
+    if (conn.polled) ::epoll_ctl(ep, EPOLL_CTL_DEL, conn.fd, nullptr);
+    std::erase_if(unpolled, [&](const auto& c) { return c.get() == &conn; });
     const int fd = conn.fd;
     conn.close_fd();
     conns.erase(fd);
@@ -563,6 +631,8 @@ Server::Server(serve::Service& service, ServerOptions opts)
 Server::~Server() = default;
 
 void Server::listen() { impl_->listen(); }
+
+void Server::attach(int in_fd, int out_fd) { impl_->attach(in_fd, out_fd); }
 
 std::uint16_t Server::port() const { return impl_->bound_port; }
 
@@ -597,6 +667,7 @@ serve::Json Server::stats_json() const {
   o["bytes_out"] = v(s.bytes_out);
   o["read_pauses"] = v(s.read_pauses);
   o["wake_signals"] = v(s.wake_signals);
+  o["write_failures"] = v(s.write_failures);
   o["outbound_high_water_bytes"] = v(s.outbound_high_water);
   return serve::Json(std::move(o));
 }

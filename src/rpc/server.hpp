@@ -1,9 +1,12 @@
-// Epoll-based non-blocking TCP front-end for serve::Service: the same
-// one-JSON-object-per-line protocol pmonge-serve speaks on stdin, framed
-// per connection and multiplexed onto the one shared admission/batching
-// pipeline.  Response bytes are identical to stdin mode by construction
-// -- the server only frames lines in and writes the service's canonical
-// response strings out, in per-connection submission order.
+// The epoll event loop in front of serve::Service -- pmonge-serve's one
+// front end.  It speaks the one-JSON-object-per-line protocol over TCP
+// connections it accepts (listen()) and over fd pairs it is handed
+// (attach(): stdin/stdout in pmonge-serve's default mode), framing each
+// connection's lines and multiplexing them onto the one shared
+// admission/batching pipeline.  Response bytes are the service's by
+// construction -- the server only frames lines in and writes the
+// service's canonical response strings out, in per-connection submission
+// order -- so they cannot differ between transports.
 //
 // One thread runs the event loop (run()); the service's worker resolves
 // responses on its own thread and wakes the loop through an eventfd.
@@ -21,14 +24,16 @@
 //     reading at the inflight/soft valves, `overloaded` rejections for
 //     framed excess, connection drop at the hard valve; memory per
 //     connection is bounded by construction;
+//   * an unterminated last line is answered at the peer's EOF;
 //   * --max-conns: surplus connections are answered one `overloaded:
 //     connection limit` line and closed;
 //   * oversized lines answer `bad_request: line exceeds N bytes` and the
 //     connection resynchronizes at the next newline;
 //   * idle connections (no traffic, nothing in flight) are closed after
 //     idle_timeout_ms;
-//   * SIGPIPE-safe: all writes use MSG_NOSIGNAL; a vanished peer is a
-//     closed connection, never a dead process;
+//   * SIGPIPE-safe on sockets: their writes use MSG_NOSIGNAL; a vanished
+//     peer is a closed connection, never a dead process (an attached
+//     pair writes with write(2); see attach());
 //   * request_stop() (async-signal-safe) starts a graceful drain: stop
 //     accepting, stop reading, flush every in-flight response, then
 //     close -- bounded by drain_timeout_ms;
@@ -84,6 +89,8 @@ struct ServerStats {
   // while their line is being read -- control ops, cached hits, inline
   // answers -- send none.
   std::atomic<std::uint64_t> wake_signals{0};
+  // Connections closed because a write failed: the reader had gone.
+  std::atomic<std::uint64_t> write_failures{0};
   std::atomic<std::uint64_t> active_conns{0};     // gauge
   std::atomic<std::uint64_t> conn_high_water{0};  // peak concurrent conns
   std::atomic<std::uint64_t> outbound_high_water{0};  // peak per-conn bytes
@@ -100,12 +107,24 @@ class Server {
   /// failure.  Must be called before run().
   void listen();
 
+  /// Serve one more connection over an existing fd pair: requests are
+  /// read from `in_fd`, responses written to `out_fd` with write(2) --
+  /// pmonge-serve's stdin mode is attach(0, 1).  The server owns both
+  /// fds and closes them when the connection ends.  Their file status
+  /// flags are left alone: a blocking `out_fd` makes a slow reader stall
+  /// the loop, which for the only connection is the backpressure.  An
+  /// `in_fd` epoll refuses (a regular file, /dev/null) is read whenever
+  /// the connection may read.  write(2) raises SIGPIPE on a closed pipe,
+  /// so the process should ignore it.  Call before run().
+  void attach(int in_fd, int out_fd);
+
   /// The bound port (after listen()); the way tests and --listen :0
   /// discover an ephemeral port.
   std::uint16_t port() const;
 
   /// Run the event loop in the calling thread until request_stop(),
-  /// then drain gracefully and return.
+  /// then drain gracefully and return; without a listener, return once
+  /// the last connection has ended.
   void run();
 
   /// Begin a graceful drain.  Async-signal-safe (one atomic store and

@@ -1,20 +1,21 @@
 // pmonge-serve: newline-delimited JSON service front-end over
-// serve::Service, in two transport modes:
+// serve::Service.  One request object per line in, one response object
+// per line out, in request order per connection.  One rpc::Server event
+// loop on the main thread serves both transports (rpc/server.hpp):
 //
-//   stdin mode (default): one request object per stdin line, one
-//   response object per stdout line, in request order (the admission
-//   queue is FIFO, so in-order awaiting never starves).  EOF on stdin
-//   drains in-flight work and exits.  The reader honors the shared
-//   backpressure contract (rpc/backpressure.hpp): at most max_inflight
-//   submitted-but-unanswered lines, so a fast pipe cannot grow the
-//   pending window without bound.
+//   stdin mode (default): stdin/stdout is the loop's one connection
+//   (Server::attach(0, 1)), with no line cap and no idle timeout.  EOF
+//   on stdin answers everything read, an unterminated last line
+//   included, and exits.
 //
-//   --listen HOST:PORT: the same protocol over TCP (rpc/server.hpp) --
-//   an epoll event loop multiplexes concurrent connections onto the one
-//   service, with per-connection backpressure, --max-conns, idle
-//   timeouts, and graceful drain on SIGTERM/SIGINT.  Response bytes are
-//   identical to stdin mode.  PORT 0 binds an ephemeral port (printed
-//   on stderr).
+//   --listen HOST:PORT: the same protocol over TCP -- the loop
+//   multiplexes concurrent connections onto the one service, with
+//   --max-conns, --max-line-bytes and idle timeouts.  PORT 0 binds an
+//   ephemeral port (printed on stderr).
+//
+// Both modes keep the backpressure contract of rpc/backpressure.hpp per
+// connection, and drain gracefully on SIGTERM/SIGINT.  Response bytes
+// are the service's, so they cannot differ between the modes.
 //
 //   $ printf '%s\n%s\n' <register request> <rowmin request> | pmonge-serve
 //   $ pmonge-serve --listen 127.0.0.1:7333
@@ -28,18 +29,14 @@
 // --breaker-cooldown (docs/robustness.md) and the transport knobs
 // --listen --max-conns --max-inflight --max-line-bytes --idle-timeout-ms
 // --drain-timeout-ms (docs/networking.md)
+#include <algorithm>
+#include <atomic>
 #include <csignal>
-#include <condition_variable>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <atomic>
-#include <deque>
 #include <fstream>
-#include <future>
-#include <iostream>
-#include <mutex>
 #include <string>
-#include <thread>
 
 #include "exec/thread_pool.hpp"
 #include "fault/fault.hpp"
@@ -47,10 +44,8 @@
 #include "obs/trace.hpp"
 #include "plan/calibrate.hpp"
 #include "pram/machine.hpp"
-#include "rpc/backpressure.hpp"
 #include "rpc/server.hpp"
 #include "serve/service.hpp"
-#include "support/arena.hpp"
 #include "support/cli.hpp"
 
 namespace {
@@ -68,12 +63,14 @@ pmonge::pram::Model parse_model(const std::string& name) {
   std::exit(2);
 }
 
-// --listen target for the signal handlers.  request_stop() is
-// async-signal-safe (one atomic store + one write(2)) and the pointer
-// load is lock-free, so the handler body is safe.
+// The signal handlers' target.  request_stop() is async-signal-safe
+// (one atomic store + one write(2)) and the pointer load is lock-free,
+// so the handler body is safe.
 std::atomic<pmonge::rpc::Server*> g_server{nullptr};
+volatile std::sig_atomic_t g_stopped = 0;
 
 void handle_stop_signal(int) {
+  g_stopped = 1;
   if (pmonge::rpc::Server* s = g_server.load(std::memory_order_acquire)) {
     s->request_stop();
   }
@@ -110,14 +107,14 @@ int main(int argc, char** argv) {
         "  --max-conns N    TCP only: concurrent connection cap; surplus\n"
         "                   connects get one `overloaded` line (default 256)\n"
         "  --max-inflight N submitted-but-unanswered lines per connection\n"
-        "                   (and for the stdin reader) before the transport\n"
-        "                   stops reading (default 128)\n"
+        "                   (stdin counts as one) before the transport\n"
+        "                   stops reading; at least 1 (default 128)\n"
         "  --max-line-bytes N  TCP only: oversized-line threshold\n"
         "                   (default 1048576)\n"
         "  --idle-timeout-ms N  TCP only: close idle connections, <=0\n"
         "                   disables (default 300000)\n"
-        "  --drain-timeout-ms N TCP only: graceful-drain bound on\n"
-        "                   SIGTERM/SIGINT (default 5000)\n"
+        "  --drain-timeout-ms N graceful-drain bound on SIGTERM/SIGINT\n"
+        "                   (default 5000)\n"
         "  --queue N        admission queue capacity (default 1024)\n"
         "  --batch N        max requests coalesced per batch (default 64)\n"
         "  --cache N        result cache capacity, 0 disables (default 4096)\n"
@@ -227,20 +224,25 @@ int main(int argc, char** argv) {
     }
   }
 
-  pmonge::rpc::BackpressureLimits limits;
-  limits.max_inflight =
-      static_cast<std::size_t>(cli.get_int("max-inflight", 128));
-  if (limits.overload_inflight < limits.max_inflight * 2) {
-    limits.overload_inflight = limits.max_inflight * 2;
+  pmonge::rpc::ServerOptions sopts;
+  const std::int64_t max_inflight = cli.get_int("max-inflight", 128);
+  if (max_inflight < 1) {
+    std::fprintf(stderr,
+                 "pmonge-serve: --max-inflight must be at least 1, got "
+                 "%lld\n",
+                 static_cast<long long>(max_inflight));
+    return 2;
   }
+  sopts.limits.max_inflight = static_cast<std::size_t>(max_inflight);
+  if (sopts.limits.overload_inflight < sopts.limits.max_inflight * 2) {
+    sopts.limits.overload_inflight = sopts.limits.max_inflight * 2;
+  }
+  sopts.drain_timeout_ms = cli.get_int("drain-timeout-ms", 5000);
 
-  pmonge::serve::Service service(opts);
-
-  if (cli.has("listen")) {
+  const bool listening = cli.has("listen");
+  if (listening) {
     // --listen HOST:PORT (":PORT" and bare "PORT" default the host).
     const std::string addr = cli.get("listen", "");
-    pmonge::rpc::ServerOptions sopts;
-    sopts.limits = limits;
     const std::size_t colon = addr.rfind(':');
     std::string port_str;
     if (colon == std::string::npos) {
@@ -264,157 +266,60 @@ int main(int argc, char** argv) {
     sopts.max_line_bytes =
         static_cast<std::size_t>(cli.get_int("max-line-bytes", 1 << 20));
     sopts.idle_timeout_ms = cli.get_int("idle-timeout-ms", 300000);
-    sopts.drain_timeout_ms = cli.get_int("drain-timeout-ms", 5000);
+  } else {
+    // A pipe has no line cap (a register line is as long as its data),
+    // and a slow or interactive one is never idle-closed.
+    sopts.max_line_bytes = SIZE_MAX;
+    sopts.idle_timeout_ms = 0;
+  }
 
-    pmonge::rpc::Server server(service, sopts);
-    try {
+  pmonge::serve::Service service(opts);
+  pmonge::rpc::Server server(service, sopts);
+  try {
+    if (listening) {
       server.listen();
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "pmonge-serve: %s\n", e.what());
-      return 2;
+    } else {
+      server.attach(0, 1);
     }
-    service.set_extra_stats(
-        "rpc", [&server] { return server.stats_json(); });
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "pmonge-serve: %s\n", e.what());
+    return 2;
+  }
+  service.set_extra_stats("rpc", [&server] { return server.stats_json(); });
 
-    g_server.store(&server, std::memory_order_release);
-    struct sigaction sa {};
-    sa.sa_handler = handle_stop_signal;
-    ::sigemptyset(&sa.sa_mask);
-    ::sigaction(SIGINT, &sa, nullptr);
-    ::sigaction(SIGTERM, &sa, nullptr);
+  g_server.store(&server, std::memory_order_release);
+  struct sigaction sa {};
+  sa.sa_handler = handle_stop_signal;
+  ::sigemptyset(&sa.sa_mask);
+  ::sigaction(SIGINT, &sa, nullptr);
+  ::sigaction(SIGTERM, &sa, nullptr);
 
+  if (listening) {
     std::fprintf(stderr, "pmonge-serve: listening on %s:%u\n",
                  sopts.host.c_str(), static_cast<unsigned>(server.port()));
-    server.run();
-    g_server.store(nullptr, std::memory_order_release);
+  }
+  server.run();
+  g_server.store(nullptr, std::memory_order_release);
 
-    const pmonge::rpc::ServerStats& st = server.stats();
+  const pmonge::rpc::ServerStats& st = server.stats();
+  const auto n = [](const std::atomic<std::uint64_t>& c) {
+    return static_cast<unsigned long long>(c.load());
+  };
+  if (listening || g_stopped != 0) {
     std::fprintf(stderr,
                  "pmonge-serve: drained (conns=%llu lines=%llu "
                  "responses=%llu dropped=%llu)\n",
-                 static_cast<unsigned long long>(st.accepted.load()),
-                 static_cast<unsigned long long>(st.lines_in.load()),
-                 static_cast<unsigned long long>(st.responses_out.load()),
-                 static_cast<unsigned long long>(st.dropped_conns.load() +
-                                                 st.overflow_drops.load()));
-    return write_trace(trace_out);
+                 n(st.accepted), n(st.lines_in), n(st.responses_out),
+                 n(st.dropped_conns) + n(st.overflow_drops));
+  } else if (st.write_failures.load() != 0) {
+    // The consumer went away (closed pipe).  SIGPIPE is ignored, so this
+    // is an orderly exit: report what was served and what was not.
+    const auto lines = n(st.lines_in);
+    const auto responses = n(st.responses_out);
+    std::fprintf(stderr,
+                 "pmonge-serve: stdout closed; exiting (lines=%llu "
+                 "responses=%llu in_flight=%llu)\n",
+                 lines, responses, lines - std::min(lines, responses));
   }
-
-  // stdin mode.  The reader thread submits lines as stdin yields them
-  // (so bursts actually coalesce); the main thread awaits and prints in
-  // submission order.  The limiter is the reader-side valve of the
-  // shared backpressure contract: once max_inflight submissions are
-  // unanswered, the reader blocks instead of growing `pending`.
-  pmonge::rpc::InflightLimiter limiter(limits.max_inflight);
-  std::atomic<std::uint64_t> lines_in{0};
-  std::uint64_t responses_out = 0;
-
-  // An output slot is either an already-serialized response (the
-  // cached-hit fast path answered on the reader thread) or a future the
-  // worker will fulfill.  Ready slots draw their buffers from `spare`, a
-  // small pool of retired response strings, so a steady cached-hit
-  // stream recycles warm capacity instead of allocating per line.
-  struct OutItem {
-    std::future<std::string> fut;
-    std::string ready;
-    bool is_ready = false;
-  };
-
-  std::mutex mu;
-  std::condition_variable cv;
-  std::deque<OutItem> pending;
-  std::vector<std::string> spare;  // pooled response buffers (under mu)
-  bool done = false;
-
-  // Unsynced, std::cin reads stdin in blocks rather than a character at
-  // a time.  Nothing in the process reads stdin through C stdio, and
-  // responses go out through C stdio only, so the two never interleave.
-  std::ios::sync_with_stdio(false);
-  std::thread reader([&] {
-    std::string line;
-    while (std::getline(std::cin, line)) {
-      if (line.empty()) continue;
-      limiter.acquire();
-      lines_in.fetch_add(1, std::memory_order_relaxed);
-      OutItem item;
-      bool pooled = false;
-      {
-        std::lock_guard<std::mutex> lock(mu);
-        if (!spare.empty()) {
-          item.ready = std::move(spare.back());
-          spare.pop_back();
-          pooled = true;
-        }
-      }
-      item.ready.clear();
-      if (pooled) {
-        pmonge::support::alloc_note_pool_hit();
-      } else {
-        pmonge::support::alloc_note_pool_miss();
-      }
-      if (service.try_serve_fast(line, item.ready)) {
-        item.is_ready = true;
-      } else {
-        item.fut = service.submit(std::move(line));
-      }
-      {
-        std::lock_guard<std::mutex> lock(mu);
-        pending.push_back(std::move(item));
-      }
-      cv.notify_one();
-    }
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      done = true;
-    }
-    cv.notify_one();
-  });
-
-  while (true) {
-    OutItem item;
-    {
-      std::unique_lock<std::mutex> lock(mu);
-      cv.wait(lock, [&] { return done || !pending.empty(); });
-      if (pending.empty()) break;
-      item = std::move(pending.front());
-      pending.pop_front();
-    }
-    if (!item.is_ready) {
-      item.ready.clear();
-      item.ready += item.fut.get();
-    }
-    const std::string& resp = item.ready;
-    limiter.release();
-    const bool wrote =
-        std::fwrite(resp.data(), 1, resp.size(), stdout) == resp.size() &&
-        std::fputc('\n', stdout) != EOF && std::fflush(stdout) == 0;
-    if (!wrote) {
-      // The consumer went away (closed pipe).  SIGPIPE is ignored, so
-      // this is an orderly exit: report what was served and what was
-      // still in flight, then leave without unwinding -- the reader may
-      // be parked in getline() and std::exit() skips joining it.
-      std::fprintf(
-          stderr,
-          "pmonge-serve: stdout closed; exiting (lines=%llu responses=%llu "
-          "in_flight=%llu)\n",
-          static_cast<unsigned long long>(
-              lines_in.load(std::memory_order_relaxed)),
-          static_cast<unsigned long long>(responses_out),
-          static_cast<unsigned long long>(limiter.inflight()));
-      std::exit(0);
-    }
-    ++responses_out;
-    {
-      // Retire the response buffer into the pool (capacity kept).  The
-      // pool never outgrows the inflight window, so memory stays bounded.
-      std::lock_guard<std::mutex> lock(mu);
-      if (spare.size() < limits.max_inflight) {
-        spare.push_back(std::move(item.ready));
-      }
-    }
-  }
-
-  reader.join();
-
   return write_trace(trace_out);
 }

@@ -1,8 +1,8 @@
 // The long-lived in-process query service: registry + admission queue +
 // batcher + sharded result cache + metrics, behind a one-line-in /
 // one-line-out NDJSON API (serve/protocol.hpp).  pmonge-serve
-// (serve/main.cpp) is the stdin/stdout front-end; tests and embedders
-// use the class directly.
+// (serve/main.cpp) serves it through rpc::Server, on stdin/stdout or
+// TCP; tests and embedders use the class directly.
 //
 // Plumbing (docs/serving.md has the full picture):
 //

@@ -1,8 +1,9 @@
 // The network transport suite (docs/networking.md): framing across
-// arbitrary TCP chunking, the TCP server's bit-identity with stdin mode
-// (replaying the golden transcripts over a real socket), concurrent
-// clients, the per-connection backpressure valves (a slow reader must
-// never grow server memory without bound), graceful drain under load,
+// arbitrary TCP chunking, the server's bit-identity with the in-process
+// service (replaying the golden transcripts over a real socket and over
+// an attached pipe pair, the way stdin mode runs), concurrent clients,
+// the per-connection backpressure valves (a slow reader must never grow
+// server memory without bound), graceful drain under load,
 // connection-limit and idle-timeout policy, and a chaos leg with the
 // rpc.conn_drop / rpc.read_stall fault sites armed.
 //
@@ -13,7 +14,9 @@
 // byte.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
 #include <sys/socket.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
@@ -25,6 +28,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "fault/fault.hpp"
@@ -133,6 +137,20 @@ TEST(Framing, PreparedReadsYieldViewsOfTheBuffer) {
   EXPECT_EQ(f.buffered(), 2u);
 }
 
+TEST(Framing, FinishHandsOverTheUnterminatedTail) {
+  rpc::LineFramer f;
+  const std::string stream = std::string(kPing) + "\n" + kPing + "\r";
+  f.feed(stream.data(), stream.size());
+  std::string_view line;
+  ASSERT_EQ(f.next(line), rpc::LineFramer::Result::Line);
+  EXPECT_EQ(line, kPing);
+  ASSERT_EQ(f.next(line), rpc::LineFramer::Result::NeedMore);
+  ASSERT_TRUE(f.finish(line));
+  EXPECT_EQ(line, kPing);
+  EXPECT_EQ(f.buffered(), 0u);
+  EXPECT_FALSE(f.finish(line));
+}
+
 TEST(Framing, RegisterSizedLineInSegmentSizedReads) {
   // A ~463 KB register line arriving in 1448-byte reads (one TCP segment
   // each), followed by a short line in the same stream: both come out
@@ -165,22 +183,94 @@ TEST(Framing, RegisterSizedLineInSegmentSizedReads) {
 // Server harness
 // ---------------------------------------------------------------------------
 
-/// Service + server on an ephemeral loopback port, loop on its own
-/// thread, graceful stop on destruction.
+/// How a TestServer's client reaches it: a loopback TCP connection, or
+/// the far ends of a pipe pair attached with Server::attach -- the
+/// transport of pmonge-serve's stdin mode.
+enum class Transport { Tcp, Pipe };
+constexpr Transport kTransports[] = {Transport::Tcp, Transport::Pipe};
+
+std::string transport_name(Transport t) {
+  return t == Transport::Tcp ? "Tcp" : "Pipe";
+}
+
+/// One client connection: an rpc::Client socket, or the test's ends of
+/// an attached pipe pair (borrowed from the TestServer that owns them).
+class TestConn {
+ public:
+  explicit TestConn(rpc::Client c) : tcp_(std::move(c)) {}
+  TestConn(int to_server, int from_server)
+      : to_(to_server), from_(from_server) {}
+
+  void send_line(const std::string& line) {
+    if (to_ < 0) return tcp_.send_line(line);
+    const std::string framed = line + "\n";
+    std::size_t off = 0;
+    while (off < framed.size()) {
+      const ssize_t k = ::write(to_, framed.data() + off, framed.size() - off);
+      if (k < 0 && errno == EINTR) continue;
+      if (k <= 0) throw rpc::RpcError("pipe write failed");
+      off += static_cast<std::size_t>(k);
+    }
+  }
+
+  std::string recv_line() {
+    if (from_ < 0) return tcp_.recv_line();
+    std::string line;
+    while (framer_.next(line) != rpc::LineFramer::Result::Line) {
+      constexpr std::size_t kChunk = 65536;
+      const ssize_t k = ::read(from_, framer_.prepare(kChunk), kChunk);
+      if (k <= 0) throw rpc::RpcError("pipe closed");
+      framer_.commit(static_cast<std::size_t>(k));
+    }
+    return line;
+  }
+
+  std::string request(const std::string& line) {
+    send_line(line);
+    return recv_line();
+  }
+
+ private:
+  rpc::Client tcp_;
+  int to_ = -1, from_ = -1;
+  rpc::LineFramer framer_{std::size_t{64} << 20};
+};
+
+/// Service + server, loop on its own thread, graceful stop on
+/// destruction.  Over TCP the server listens on an ephemeral loopback
+/// port; over a pipe pair it serves the one attached connection.
 struct TestServer {
   serve::Service service;
   rpc::Server server;
+  Transport transport;
+  int to_server = -1, from_server = -1;  // the test's pipe ends
   std::thread loop;
 
   explicit TestServer(serve::ServiceOptions sopts = {},
-                      rpc::ServerOptions ropts = {})
-      : service(sopts), server(service, loopback(std::move(ropts))) {
-    server.listen();
+                      rpc::ServerOptions ropts = {},
+                      Transport t = Transport::Tcp)
+      : service(sopts),
+        server(service, loopback(std::move(ropts))),
+        transport(t) {
+    if (transport == Transport::Tcp) {
+      server.listen();
+    } else {
+      int req[2], resp[2];
+      EXPECT_EQ(::pipe2(req, O_CLOEXEC), 0);
+      EXPECT_EQ(::pipe2(resp, O_CLOEXEC), 0);
+      server.attach(req[0], resp[1]);
+      to_server = req[1];
+      from_server = resp[0];
+    }
     loop = std::thread([this] { server.run(); });
   }
   ~TestServer() {
     server.request_stop();
     if (loop.joinable()) loop.join();
+    // Closed only after the loop is done writing: a write(2) into a pipe
+    // with no reader raises SIGPIPE.
+    if (to_server >= 0) ::close(to_server);
+    if (from_server >= 0) ::close(from_server);
   }
 
   static rpc::ServerOptions loopback(rpc::ServerOptions o) {
@@ -190,6 +280,12 @@ struct TestServer {
   }
 
   rpc::Client connect() { return rpc::Client("127.0.0.1", server.port()); }
+
+  /// A connection over this server's transport (one per pipe pair).
+  TestConn open() {
+    if (transport == Transport::Tcp) return TestConn(connect());
+    return TestConn(to_server, from_server);
+  }
 };
 
 TEST(RpcServer, PingRoundTrip) {
@@ -255,8 +351,12 @@ TEST(RpcServer, ShutdownWriteDrainsThenEof) {
   for (int i = 1; i <= 10; ++i) {
     c.send_line(R"({"op":"ping","id":)" + std::to_string(i) + "}");
   }
+  // An unterminated last line is still a request: EOF ends it.
+  const std::string tail = R"({"op":"ping","id":11})";
+  ASSERT_EQ(::send(c.fd(), tail.data(), tail.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(tail.size()));
   c.shutdown_write();
-  for (int i = 1; i <= 10; ++i) {
+  for (int i = 1; i <= 11; ++i) {
     EXPECT_EQ(c.recv_line(), R"({"id":)" + std::to_string(i) +
                                  R"(,"ok":true,"result":{"pong":true}})");
   }
@@ -316,10 +416,12 @@ TEST(RpcServer, StatsSectionAndPrometheusExposition) {
             std::string::npos);
   EXPECT_NE(prom.find("pmonge_rpc_lines_in_total"), std::string::npos);
   EXPECT_NE(prom.find("pmonge_rpc_wake_signals_total"), std::string::npos);
+  EXPECT_NE(prom.find("pmonge_rpc_write_failures_total"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
-// Golden transcripts over TCP: bit-identity with stdin mode
+// Golden transcripts over TCP and over a pipe pair: bit-identity with
+// the in-process service
 // ---------------------------------------------------------------------------
 
 std::filesystem::path golden_dir() {
@@ -327,7 +429,7 @@ std::filesystem::path golden_dir() {
 }
 
 /// Transcripts that exercise only the wire protocol (no !pause -- worker
-/// pausing is an in-process test hook the TCP surface does not expose).
+/// pausing is an in-process test hook the wire does not expose).
 std::vector<std::string> replayable_goldens() {
   std::vector<std::string> names;
   for (const auto& e : std::filesystem::directory_iterator(golden_dir())) {
@@ -372,12 +474,14 @@ serve::ServiceOptions transcript_options(const std::filesystem::path& path) {
   return opts;
 }
 
-class GoldenOverTcp : public ::testing::TestWithParam<std::string> {};
+class GoldenOverTransport
+    : public ::testing::TestWithParam<std::tuple<std::string, Transport>> {};
 
-TEST_P(GoldenOverTcp, TranscriptMatchesOverSocket) {
-  const std::filesystem::path path = golden_dir() / GetParam();
-  TestServer ts(transcript_options(path));
-  rpc::Client c = ts.connect();
+TEST_P(GoldenOverTransport, TranscriptMatches) {
+  const auto& [name, transport] = GetParam();
+  const std::filesystem::path path = golden_dir() / name;
+  TestServer ts(transcript_options(path), {}, transport);
+  TestConn c = ts.open();
 
   std::ifstream in(path);
   ASSERT_TRUE(in) << "cannot open " << path;
@@ -393,28 +497,29 @@ TEST_P(GoldenOverTcp, TranscriptMatchesOverSocket) {
     } else if (line.rfind("< ", 0) == 0 || line == "<") {
       const std::string want =
           line.size() > 2 ? line.substr(2) : std::string();
-      EXPECT_EQ(c.recv_line(), want) << GetParam() << ":" << lineno;
+      EXPECT_EQ(c.recv_line(), want) << name << ":" << lineno;
     } else if (line.rfind("~ ", 0) == 0) {
       const std::string got = c.recv_line();
       EXPECT_TRUE(std::regex_match(got, std::regex(line.substr(2))))
-          << GetParam() << ":" << lineno << "\n  got: " << got;
+          << name << ":" << lineno << "\n  got: " << got;
     } else {
-      FAIL() << GetParam() << ":" << lineno
-             << ": directive the TCP replay cannot drive: " << line;
+      FAIL() << name << ":" << lineno
+             << ": directive the wire replay cannot drive: " << line;
     }
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Transcripts, GoldenOverTcp,
-                         ::testing::ValuesIn(replayable_goldens()),
-                         [](const auto& info) {
-                           std::string n = info.param;
-                           for (char& ch : n) {
-                             if (!std::isalnum(static_cast<unsigned char>(ch)))
-                               ch = '_';
-                           }
-                           return n;
-                         });
+INSTANTIATE_TEST_SUITE_P(
+    Transcripts, GoldenOverTransport,
+    ::testing::Combine(::testing::ValuesIn(replayable_goldens()),
+                       ::testing::ValuesIn(kTransports)),
+    [](const auto& info) {
+      std::string n = std::get<0>(info.param);
+      for (char& ch : n) {
+        if (!std::isalnum(static_cast<unsigned char>(ch))) ch = '_';
+      }
+      return n + "_" + transport_name(std::get<1>(info.param));
+    });
 
 // ---------------------------------------------------------------------------
 // Concurrency: N clients, byte-identical responses
@@ -486,12 +591,16 @@ TEST(RpcServer, ConcurrentClientsBitIdentical) {
 // Backpressure: a slow reader never grows server memory without bound
 // ---------------------------------------------------------------------------
 
-TEST(RpcServer, SlowReaderIsPausedWithBoundedMemoryThenRecovers) {
+// The valve tests run over both transports: an attached pipe pair keeps
+// the same contract with the same code.
+
+void slow_reader_is_paused_then_recovers(Transport transport) {
+  SCOPED_TRACE(transport_name(transport));
   rpc::ServerOptions ropts;
   ropts.limits.max_inflight = 4;
   ropts.limits.overload_inflight = 16;
-  TestServer ts({}, ropts);
-  rpc::Client c = ts.connect();
+  TestServer ts({}, ropts, transport);
+  TestConn c = ts.open();
   ASSERT_EQ(
       c.request(
           R"({"op":"register_random","id":1,"rows":16,"cols":16,"seed":3})"),
@@ -503,13 +612,17 @@ TEST(RpcServer, SlowReaderIsPausedWithBoundedMemoryThenRecovers) {
   // pauses reads (anything framed past overload_inflight is rejected
   // `overloaded` instead of buffered).  Either way, server-side memory
   // for this connection stays bounded by the valves, not by how much a
-  // misbehaving client sends.
+  // misbehaving client sends.  The burst goes out in two parts, the
+  // second once reads are paused: a pipe takes the whole burst faster
+  // than the loop wakes, and one read would frame all of it.
   ts.service.pause();
   constexpr int kRequests = 100;
-  for (int i = 1; i <= kRequests; ++i) {
+  constexpr int kFirst = 20;  // enough to trip both valves
+  const auto send_query = [&](int i) {
     c.send_line(R"({"op":"rowmin","id":)" + std::to_string(i) +
                 R"(,"array":0,"row":)" + std::to_string(i % 16) + "}");
-  }
+  };
+  for (int i = 1; i <= kFirst; ++i) send_query(i);
   // Wait until the valves engage: reads paused with the worker held.
   const auto deadline = std::chrono::steady_clock::now() + 10s;
   while (ts.server.stats().read_pauses.load() == 0 &&
@@ -518,6 +631,8 @@ TEST(RpcServer, SlowReaderIsPausedWithBoundedMemoryThenRecovers) {
   }
   EXPECT_GE(ts.server.stats().read_pauses.load(), 1u)
       << "inflight valve never paused reads";
+  for (int i = kFirst + 1; i <= kRequests; ++i) send_query(i);
+  std::this_thread::sleep_for(20ms);
   // The server cannot have buffered anywhere near the whole burst:
   // framed lines are capped by the overload valve plus rejections.
   EXPECT_LT(ts.server.stats().lines_in.load(), kRequests + 1u);
@@ -541,16 +656,17 @@ TEST(RpcServer, SlowReaderIsPausedWithBoundedMemoryThenRecovers) {
   EXPECT_EQ(c.request(kPing), kPong);
 }
 
-TEST(RpcServer, InflightValvePausesReadsButAnswersEverything) {
-  // Query ops (not control ops) held in the queue by a paused worker, so
-  // their responses stay outstanding: the pipelined burst must trip the
-  // inflight valve, yet every request still gets its answer.  (Unpaused,
-  // these 16x16 misses are answered inline and never pend.)
+TEST(RpcServer, SlowReaderIsPausedWithBoundedMemoryThenRecovers) {
+  for (const Transport t : kTransports) slow_reader_is_paused_then_recovers(t);
+}
+
+void inflight_valve_answers_everything(Transport transport) {
+  SCOPED_TRACE(transport_name(transport));
   rpc::ServerOptions ropts;
   ropts.limits.max_inflight = 2;
   ropts.limits.overload_inflight = 512;
-  TestServer ts({}, ropts);
-  rpc::Client c = ts.connect();
+  TestServer ts({}, ropts, transport);
+  TestConn c = ts.open();
   ASSERT_EQ(
       c.request(
           R"({"op":"register_random","id":1,"rows":16,"cols":16,"seed":3})"),
@@ -573,6 +689,14 @@ TEST(RpcServer, InflightValvePausesReadsButAnswersEverything) {
     EXPECT_NE(resps[i].find("\"ok\":true"), std::string::npos) << resps[i];
   }
   EXPECT_GE(ts.server.stats().read_pauses.load(), 1u);
+}
+
+TEST(RpcServer, InflightValvePausesReadsButAnswersEverything) {
+  // Query ops (not control ops) held in the queue by a paused worker, so
+  // their responses stay outstanding: the pipelined burst must trip the
+  // inflight valve, yet every request still gets its answer.  (Unpaused,
+  // these 16x16 misses are answered inline and never pend.)
+  for (const Transport t : kTransports) inflight_valve_answers_everything(t);
 }
 
 TEST(RpcServer, AnswersGivenWhileReadingSendNoWakeSignal) {
