@@ -131,7 +131,7 @@ class ServeProcess {
   }
 
   /// The next stdout line, or "<eof>" at the end of the stream (or after
-  /// a minute without data).
+  /// 20 s without data).
   std::string stdout_line() { return next_line(out_, out_buf_); }
   /// The next stderr line, likewise.
   std::string stderr_line() { return next_line(err_, err_buf_); }
@@ -142,7 +142,7 @@ class ServeProcess {
   std::string stderr_rest() { return rest(err_, err_buf_); }
 
   /// Exit status (a signal death reads as 128 + signal); -1 on timeout.
-  int wait_exit(std::chrono::seconds limit = 60s) {
+  int wait_exit(std::chrono::seconds limit = 30s) {
     const auto deadline = Clock::now() + limit;
     while (true) {
       int status = 0;
@@ -160,7 +160,7 @@ class ServeProcess {
  private:
   static bool fill(int fd, std::string& buf) {
     pollfd p{fd, POLLIN, 0};
-    if (::poll(&p, 1, 60000) <= 0) return false;
+    if (::poll(&p, 1, 20000) <= 0) return false;
     char chunk[65536];
     const ssize_t k = ::read(fd, chunk, sizeof(chunk));
     if (k <= 0) return false;
