@@ -21,9 +21,12 @@
 //     past this is dropped.  In-flight responses can still land after
 //     reads stop, so soft alone cannot bound memory; hard does.
 //
-// A stdin/stdout pair writes with blocking write(2), so its outbound
-// buffer empties on every flush: only max_inflight and overload_inflight
-// act there.
+// An attached pair (pmonge-serve's stdin/stdout) differs in two ways.
+// It stops framing, not just reading, at a full window: lines one read
+// delivered past max_inflight wait in its read buffer and are submitted
+// as answers drain, so overload_inflight never refuses a pipe or file
+// line.  And it writes with blocking write(2), so its outbound buffer
+// empties on every flush: of the four valves, only max_inflight acts.
 #pragma once
 
 #include <cstddef>

@@ -60,6 +60,7 @@ struct Conn {
   std::uint32_t mask = 0;   // current epoll interest
   bool peer_eof = false;
   bool paused = false;      // reads stopped by backpressure
+  bool held = false;        // an attached pair stopped framing at a full window
   Clock::time_point last_active{};
   std::atomic<bool> queued{false};  // already in the wakeup list
 
@@ -406,9 +407,8 @@ struct Server::Impl {
     // Straight into the framer's buffer: the request lines handed out
     // below view it, so a register line is never copied on its way in.
     constexpr std::size_t kReadChunk = 65536;
-    char* const into = conn->framer.prepare(kReadChunk);
-    const ssize_t k = conn->socket ? ::recv(conn->fd, into, kReadChunk, 0)
-                                   : ::read(conn->fd, into, kReadChunk);
+    const ssize_t k =
+        ::read(conn->fd, conn->framer.prepare(kReadChunk), kReadChunk);
     if (k < 0) {
       if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) return;
       close_conn(*conn, stats.closed);
@@ -422,17 +422,38 @@ struct Server::Impl {
       conn->last_active = Clock::now();
       conn->framer.commit(static_cast<std::size_t>(k));
     }
+    submit_lines(conn);
+    pump(conn);
+  }
 
+  /// Whether the connection has as much in flight as it may: reads stop
+  /// here (update_interest), and an attached pair stops framing too.
+  bool window_full(const Conn& conn) const {
+    return conn.pending.size() >= opts.limits.max_inflight ||
+           conn.outbound_len() >= opts.limits.soft_buffer_bytes;
+  }
+
+  /// Hand the lines buffered in the framer to the service.  A socket
+  /// frames all of them, and past overload_inflight answers `overloaded`.
+  /// An attached pair stops at a full window and keeps the rest in its
+  /// framer (`held`) until pump() reopens it -- a pipe or file client
+  /// waits, as a blocking reader would make it, and is never refused.
+  void submit_lines(const std::shared_ptr<Conn>& conn) {
     struct Reading {
       explicit Reading(const Conn* c) { t_reading = c; }
       ~Reading() { t_reading = nullptr; }
     } reading(conn.get());
-    // This read's lines share one allowance of inline work, and get none
-    // while other connections wait on the loop.
+    // These lines share one allowance of inline work, and get none while
+    // other connections wait on the loop.
     serve::InlineBudget budget;
     budget.open = !contended;
+    conn->held = false;
     std::string_view line;
     while (true) {
+      if (!conn->socket && window_full(*conn)) {
+        conn->held = true;
+        break;
+      }
       const LineFramer::Result r = conn->framer.next(line);
       if (r == LineFramer::Result::NeedMore &&
           !(conn->peer_eof && conn->framer.finish(line))) {
@@ -450,9 +471,9 @@ struct Server::Impl {
       if (line.empty()) continue;
       stats.lines_in.fetch_add(1, std::memory_order_relaxed);
       if (conn->pending.size() >= opts.limits.overload_inflight) {
-        // Reads are already paused past max_inflight, but one recv can
-        // deliver many framed lines; past the overload valve they are
-        // answered exactly like an admission-queue rejection.
+        // A socket's reads are already paused past max_inflight, but one
+        // read can deliver many framed lines; past the overload valve
+        // they are answered exactly like an admission-queue rejection.
         stats.overload_rejected.fetch_add(1, std::memory_order_relaxed);
         std::int64_t id = serve::kNoId;
         try {
@@ -479,7 +500,6 @@ struct Server::Impl {
       service.submit_cb(line, Completion{wakeup, conn, std::move(slot)},
                         &budget);
     }
-    pump(conn);
   }
 
   /// Answer a framed line without touching the service (oversized /
@@ -493,26 +513,32 @@ struct Server::Impl {
   }
 
   /// Move ready responses into the outbound buffer, flush what the
-  /// socket accepts, and recompute epoll interest + backpressure state.
+  /// socket accepts, submit the lines an attached pair held while the
+  /// window has room, and recompute epoll interest + backpressure state.
   void pump(const std::shared_ptr<Conn>& conn) {
-    if (conn->fd < 0) return;
-    while (!conn->pending.empty() &&
-           conn->pending.front()->ready.load(std::memory_order_acquire)) {
-      const auto& slot = conn->pending.front();
-      conn->outbound += slot->resp;
-      conn->outbound += '\n';
-      stats.responses_out.fetch_add(1, std::memory_order_relaxed);
-      conn->pending.pop_front();
+    while (true) {
+      if (conn->fd < 0) return;
+      while (!conn->pending.empty() &&
+             conn->pending.front()->ready.load(std::memory_order_acquire)) {
+        const auto& slot = conn->pending.front();
+        conn->outbound += slot->resp;
+        conn->outbound += '\n';
+        stats.responses_out.fetch_add(1, std::memory_order_relaxed);
+        conn->pending.pop_front();
+      }
+      bump_max(stats.outbound_high_water, conn->outbound_len());
+      if (conn->outbound_len() > opts.limits.hard_buffer_bytes) {
+        // The never-unbounded-memory backstop: the peer stopped reading
+        // long enough ago that even the post-pause responses overflowed.
+        stats.overflow_drops.fetch_add(1, std::memory_order_relaxed);
+        close_conn(*conn, stats.dropped_conns);
+        return;
+      }
+      if (!flush(conn)) return;  // connection died mid-write
+      // The window has room again: frame what an attached pair held.
+      if (!conn->held || draining || window_full(*conn)) break;
+      submit_lines(conn);
     }
-    bump_max(stats.outbound_high_water, conn->outbound_len());
-    if (conn->outbound_len() > opts.limits.hard_buffer_bytes) {
-      // The never-unbounded-memory backstop: the peer stopped reading
-      // long enough ago that even the post-pause responses overflowed.
-      stats.overflow_drops.fetch_add(1, std::memory_order_relaxed);
-      close_conn(*conn, stats.dropped_conns);
-      return;
-    }
-    if (!flush(conn)) return;  // connection died mid-write
     if ((conn->peer_eof || draining) && conn->pending.empty() &&
         conn->outbound_len() == 0) {
       close_conn(*conn, stats.closed);
@@ -570,9 +596,7 @@ struct Server::Impl {
   }
 
   void update_interest(const std::shared_ptr<Conn>& conn) {
-    const bool want_pause =
-        conn->pending.size() >= opts.limits.max_inflight ||
-        conn->outbound_len() >= opts.limits.soft_buffer_bytes;
+    const bool want_pause = window_full(*conn);
     if (want_pause && !conn->paused) {
       stats.read_pauses.fetch_add(1, std::memory_order_relaxed);
     }

@@ -653,6 +653,11 @@ void slow_reader_is_paused_then_recovers(Transport transport) {
   }
   EXPECT_EQ(ok + overloaded, kRequests);
   EXPECT_GT(ok, 0);
+  // An attached pair holds what it framed past the window instead of
+  // refusing it: the overload valve is a socket's alone.
+  if (transport == Transport::Pipe) {
+    EXPECT_EQ(overloaded, 0);
+  }
   EXPECT_EQ(c.request(kPing), kPong);
 }
 

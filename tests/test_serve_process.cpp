@@ -3,7 +3,7 @@
 // client would drive them.
 //
 //   * stdin from a regular file and from /dev/null (fds epoll refuses),
-//     a register line over 1 MiB, an unterminated last line, stdout
+//     a file far longer than the inflight window, a register line over 1 MiB, an unterminated last line, stdout
 //     closed early, and SIGTERM while a query is in flight;
 //   * --listen 127.0.0.1:0 under a closed loop of 32 connections and an
 //     open loop at a fixed rate: every answer ok, a generous p99 bound,
@@ -17,6 +17,7 @@
 #include <poll.h>
 #include <signal.h>
 #include <spawn.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -58,7 +59,9 @@ class ServeProcess {
   explicit ServeProcess(const std::vector<std::string>& flags,
                         const char* stdin_path = nullptr) {
     int in[2] = {-1, -1}, out[2], err[2];
-    if (stdin_path == nullptr) EXPECT_EQ(::pipe2(in, O_CLOEXEC), 0);
+    if (stdin_path == nullptr) {
+      EXPECT_EQ(::pipe2(in, O_CLOEXEC), 0);
+    }
     EXPECT_EQ(::pipe2(out, O_CLOEXEC), 0);
     EXPECT_EQ(::pipe2(err, O_CLOEXEC), 0);
     posix_spawn_file_actions_t fa;
@@ -232,6 +235,23 @@ TEST(ServeStdin, ReadsRequestsFromARegularFile) {
       << out;
   EXPECT_NE(out.find(R"({"id":3,"ok":true)"), std::string::npos) << out;
   EXPECT_EQ(std::count(out.begin(), out.end(), '\n'), 3) << out;
+}
+
+TEST(ServeStdin, AnswersEveryLineOfAFileMuchLongerThanTheWindow) {
+  // One read of the file frames far more lines than --max-inflight and
+  // the overload valve admit; stdin holds the rest instead of refusing
+  // them, so every line gets its own answer.
+  constexpr int kLines = 2000;
+  std::string in, want;
+  for (int i = 1; i <= kLines; ++i) {
+    in += ping(i) + "\n";
+    want += pong(i) + "\n";
+  }
+  TempFile f(in);
+  ServeProcess p({}, f.path.c_str());
+  const std::string out = p.stdout_rest();
+  EXPECT_EQ(p.wait_exit(), 0) << p.stderr_rest();
+  EXPECT_EQ(out, want);
 }
 
 TEST(ServeStdin, DevNullExitsZeroWithNoOutput) {
@@ -445,7 +465,9 @@ TEST(ServeListen, ClosedLoopOf32ConnectionsThenDrainOnSigterm) {
   std::printf("closed loop: %zu answers, p99 %.1f us\n", all.size(), p99);
   // A generous bound for a shared machine; sanitizer builds are too slow
   // for any latency bound to mean something.
-  if (!kSanitized) EXPECT_LT(p99, 50000.0);
+  if (!kSanitized) {
+    EXPECT_LT(p99, 50000.0);
+  }
   srv.expect_drain_on_sigterm();
 }
 
@@ -471,38 +493,52 @@ TEST(ServeListen, OpenLoopAtAFixedRateAnswersEveryRequest) {
         bool done = false;
         // The sender keeps a Poisson schedule whatever the answers do;
         // the receiver reads in order until every sent line is answered.
+        // A server fault on either side is recorded as a failure; the
+        // receiver is joined on every path.
         std::thread receiver([&] {
-          while (true) {
-            {
-              std::unique_lock<std::mutex> lock(mu);
-              cv.wait(lock, [&] { return outstanding > 0 || done; });
-              if (outstanding == 0) return;
+          try {
+            while (true) {
+              {
+                std::unique_lock<std::mutex> lock(mu);
+                cv.wait(lock, [&] { return outstanding > 0 || done; });
+                if (outstanding == 0) return;
+              }
+              const std::string resp = c.recv_line();
+              std::lock_guard<std::mutex> lock(mu);
+              --outstanding;
+              if (answered_ok(resp)) {
+                ++ok_count[i];
+              } else {
+                failures[i].push_back(resp);
+              }
             }
-            const std::string resp = c.recv_line();
+          } catch (const std::exception& e) {
             std::lock_guard<std::mutex> lock(mu);
-            --outstanding;
-            if (answered_ok(resp)) {
-              ++ok_count[i];
-            } else {
-              failures[i].push_back(resp);
-            }
+            failures[i].push_back(e.what());
           }
         });
-        Rng arrivals(1000 + i);
-        auto next = start;
-        while (true) {
-          next += std::chrono::duration_cast<Clock::duration>(
-              std::chrono::duration<double>(
-                  -std::log1p(-arrivals.uniform01()) / kRatePerConn));
-          if (next >= until) break;
-          std::this_thread::sleep_until(next);
-          {
-            std::lock_guard<std::mutex> lock(mu);
-            ++outstanding;
+        try {
+          Rng arrivals(1000 + i);
+          auto next = start;
+          while (true) {
+            next += std::chrono::duration_cast<Clock::duration>(
+                std::chrono::duration<double>(
+                    -std::log1p(-arrivals.uniform01()) / kRatePerConn));
+            if (next >= until) break;
+            std::this_thread::sleep_until(next);
+            {
+              std::lock_guard<std::mutex> lock(mu);
+              ++outstanding;
+            }
+            cv.notify_one();
+            c.send_line(mix.next());
+            ++sent_count[i];
           }
-          cv.notify_one();
-          c.send_line(mix.next());
-          ++sent_count[i];
+        } catch (const std::exception& e) {
+          std::lock_guard<std::mutex> lock(mu);
+          failures[i].push_back(e.what());
+          // Answers to lines never sent will not come: end the receiver.
+          ::shutdown(c.fd(), SHUT_RDWR);
         }
         {
           std::lock_guard<std::mutex> lock(mu);
